@@ -17,6 +17,9 @@ make million-block windows feasible:
 3. **Segment-backed reads** — a full ``iter_range`` walk off the
    spilled store yields every block, contiguous and parent-linked, and
    spot lookups resolve through the fingerprint-verified segments.
+   Transaction lookups (the first tx of each spilled epoch plus every
+   tx of the spot blocks) match ``block_by_number`` and load at most
+   one segment each; the transaction locator's bytes are printed.
 4. **Splice identity (sampled prefix)** — the first epochs are
    re-simulated from their seals across ``--workers`` processes and
    must match the stored chain hash-for-hash (the ``shard_identical``
@@ -61,6 +64,52 @@ def rss_mb():
     with open("/proc/self/statm", "r", encoding="ascii") as handle:
         pages = int(handle.read().split()[1])
     return pages * os.sysconf("SC_PAGESIZE") / 1e6
+
+
+def check_tx_lookups(chain, store, spots):
+    """Locate the first tx of each spilled epoch's first block and every
+    tx of the spot blocks; each must match ``block_by_number`` and load
+    at most one segment."""
+    resident_start = chain.blocks[0].number
+    spilled_firsts = [info.first_block for info in store.segments
+                      if info.first_block < resident_start]
+    expected = []
+    for number in spilled_firsts:
+        block = chain.block_by_number(number)
+        expected.extend((tx.hash, number, block.hash, 0)
+                        for tx in block.transactions[:1])
+    for number in spots:
+        block = chain.block_by_number(number)
+        expected.extend((tx.hash, number, block.hash, position)
+                        for position, tx in enumerate(block.transactions))
+    assert any(number < resident_start for _, number, _, _ in expected), \
+        "no spilled transaction to look up"
+
+    loads = []
+    load_segment = store.load_segment
+
+    def counted_load(epoch):
+        loads.append(epoch)
+        return load_segment(epoch)
+
+    store.load_segment = counted_load
+    try:
+        for tx_hash, number, block_hash, position in expected:
+            before = len(loads)
+            located = chain.locate_transaction(tx_hash)
+            assert located is not None, f"{tx_hash} not found"
+            block, found_position = located
+            assert (block.number, block.hash, found_position) == \
+                (number, block_hash, position), tx_hash
+            assert len(loads) - before <= 1, \
+                f"{tx_hash} loaded {len(loads) - before} segments"
+    finally:
+        del store.load_segment
+    spilled_txs = sum(info.tx_count for info in store.segments)
+    print(f"tx lookups ok: {len(expected)} txs "
+          f"({len(spilled_firsts)} spilled epochs), {len(loads)} segment "
+          f"loads; locator {store.locator_bytes} bytes for "
+          f"{spilled_txs} spilled txs")
 
 
 def main(argv=None):
@@ -170,12 +219,14 @@ def main(argv=None):
                 assert block.parent_hash == previous.hash, block.number
             previous = block
         assert count == args.blocks, count
-        for number in (1, args.epoch_blocks, args.epoch_blocks + 1,
-                       args.blocks // 2, args.blocks):
+        spots = (1, args.epoch_blocks, args.epoch_blocks + 1,
+                 args.blocks // 2, args.blocks)
+        for number in spots:
             found = chain.block_by_number(number)
             assert found is not None and found.number == number, number
         print(f"segment-backed walk ok: {count} blocks, "
               f"linkage verified")
+        check_tx_lookups(chain, store, spots)
 
         # Sampled-prefix shard identity against the spilled reference.
         plan = plan_epochs(config)[:prefix]

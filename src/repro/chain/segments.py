@@ -10,6 +10,14 @@ than O(world); :class:`SegmentReader` serves ranged reads over the
 spilled portion through a bounded LRU of resident segments (manifest
 bisect, never a directory scan).
 
+Transaction lookups below the resident window go through a compact
+per-segment *locator*: a sorted ``array('Q')`` of the first 64 bits of
+every spilled transaction hash (8 bytes per transaction).  A lookup
+bisects each segment's keys, newest first, and loads only a segment
+whose keys hold the prefix — so a chain-order sweep of lookups costs at
+most one segment load per spilled segment instead of a scan of every
+newer segment per lookup.
+
 Integrity follows the PR-4 world-cache rule: *any* anomaly — missing or
 truncated file, fingerprint mismatch, unknown manifest format — raises
 :class:`SegmentIntegrityError` with a clear message, and callers respond
@@ -21,9 +29,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import json
 import os
 import pickle
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -97,6 +107,22 @@ def _materialize_hashes(blocks: Sequence[Block]) -> None:
             tx.hash
 
 
+def _tx_key(tx_hash: Hash32) -> int:
+    """Locator key of a ``0x``-prefixed hex hash: its first 64 bits.
+
+    Raises ``ValueError`` for a string that is not hex there — no
+    transaction hash (always :func:`~repro.chain.types.hash_of` output)
+    can equal such a string.
+    """
+    return int(tx_hash[2:18], 16)
+
+
+def _locator_keys(blocks: Sequence[Block]) -> "array[int]":
+    """Sorted locator keys of every transaction in a block run."""
+    return array("Q", sorted(_tx_key(tx.hash) for block in blocks
+                             for tx in block.transactions))
+
+
 def _fingerprint_blocks(blocks: Sequence[Block]) -> str:
     """Content fingerprint of a block run (same scheme as the bench
     world fingerprint: number, hash, and transaction count per block)."""
@@ -131,8 +157,15 @@ class SegmentStore:
 
     def __init__(self, root: str) -> None:
         self.root = root
+        #: manifest entries ordered by epoch, and their first blocks
+        #: (the bisect keys); both are rebound together, never mutated,
+        #: so an in-progress read keeps a consistent snapshot.
         self._segments: List[SegmentInfo] = []
+        self._starts: List[int] = []
         self._by_epoch: Dict[int, SegmentInfo] = {}
+        #: per-epoch locator keys (see :meth:`holds_tx_key`); entries
+        #: this process did not write are built on first need.
+        self._tx_keys: Dict[int, "array[int]"] = {}
         #: background writer for overlapped spill I/O (None = synchronous)
         self._writer = None
         #: epochs whose segment file is still being written in the
@@ -170,9 +203,8 @@ class SegmentStore:
         except (KeyError, TypeError) as exc:
             raise SegmentIntegrityError(
                 f"segment manifest at {manifest} is malformed ({exc})")
-        infos.sort(key=lambda info: info.epoch)
-        self._segments = infos
         self._by_epoch = {info.epoch: info for info in infos}
+        self._index_manifest()
 
     @classmethod
     def create(cls, root: str) -> "SegmentStore":
@@ -195,6 +227,13 @@ class SegmentStore:
 
     # Manifest ------------------------------------------------------------
 
+    def _index_manifest(self) -> None:
+        """Rebind the epoch-ordered entries and their bisect keys from
+        ``_by_epoch`` (the only place either list is built)."""
+        self._segments = sorted(self._by_epoch.values(),
+                                key=lambda entry: entry.epoch)
+        self._starts = [info.first_block for info in self._segments]
+
     @property
     def segments(self) -> List[SegmentInfo]:
         """Manifest entries, ordered by epoch."""
@@ -202,10 +241,7 @@ class SegmentStore:
 
     def segment_for_block(self, number: int) -> Optional[SegmentInfo]:
         """The segment containing ``number``, via manifest bisect."""
-        if not self._segments:
-            return None
-        starts = [info.first_block for info in self._segments]
-        index = bisect.bisect_right(starts, number) - 1
+        index = bisect.bisect_right(self._starts, number) - 1
         if index < 0:
             return None
         info = self._segments[index]
@@ -291,8 +327,8 @@ class SegmentStore:
             fingerprint=_fingerprint_blocks(blocks),
             tx_count=sum(len(b.transactions) for b in blocks))
         self._by_epoch[epoch] = info
-        self._segments = sorted(self._by_epoch.values(),
-                                key=lambda entry: entry.epoch)
+        self._index_manifest()
+        self._tx_keys[epoch] = _locator_keys(blocks)
         payload = pickle.dumps(blocks,
                                protocol=pickle.HIGHEST_PROTOCOL)
         if self._writer is None:
@@ -349,6 +385,30 @@ class SegmentStore:
                 f"segment {info.filename} fingerprint mismatch; "
                 f"re-simulate from scratch")
         return blocks
+
+    # Transaction locator --------------------------------------------------
+
+    def holds_tx_key(self, epoch: int, key: int) -> bool:
+        """Whether spilled ``epoch`` holds a transaction whose hash
+        starts with the 64-bit locator ``key`` (a candidate only: the
+        caller confirms by full-hash compare).
+
+        Keys are built by :meth:`write_segment`; an epoch this process
+        did not write (a reopened store) costs one :meth:`load_segment`
+        the first time it is asked about.
+        """
+        keys = self._tx_keys.get(epoch)
+        if keys is None:
+            keys = self._tx_keys[epoch] = _locator_keys(
+                self.load_segment(epoch))
+        index = bisect.bisect_left(keys, key)
+        return index < len(keys) and keys[index] == key
+
+    @property
+    def locator_bytes(self) -> int:
+        """Memory held by the transaction locator's key arrays."""
+        return sum(len(keys) * keys.itemsize
+                   for keys in self._tx_keys.values())
 
     # Sidecar files --------------------------------------------------------
     #
@@ -445,7 +505,8 @@ class SegmentReader:
         if not self.bounded:
             yield from self._iter_range_unbounded(from_block, to_block)
             return
-        infos = self.store.segments
+        infos = self.store._segments
+        starts = self.store._starts
         if not infos:
             return
         low = from_block if from_block is not None \
@@ -454,9 +515,8 @@ class SegmentReader:
             else infos[-1].last_block
         if low > high:
             return
-        starts = [info.first_block for info in infos]
         start = max(0, bisect.bisect_right(starts, low) - 1)
-        for info in infos[start:]:
+        for info in itertools.islice(infos, start, None):
             if info.first_block > high:
                 break
             if info.last_block < low:
@@ -533,14 +593,11 @@ class SpillingBlockchain(Blockchain):
     @property
     def earliest_number(self) -> Optional[int]:
         """First block the chain has ever stored (spilled or resident)."""
-        if self._segments_list():
-            return self._segments_list()[0].first_block
+        if self.store._starts:
+            return self.store._starts[0]
         if self.blocks:
             return self.blocks[0].number
         return None
-
-    def _segments_list(self) -> List[SegmentInfo]:
-        return self.store.segments
 
     def append(self, block: Block) -> None:
         super().append(block)
@@ -583,22 +640,33 @@ class SpillingBlockchain(Blockchain):
 
     def locate_transaction(self, tx_hash: Hash32,
                            ) -> Optional[Tuple[Block, int]]:
-        """Resident-first; falls back to scanning spilled segments
-        (newest first, through the reader's LRU).  The fallback is
-        O(world) worst case — acceptable for the ground-truth scoring
-        paths that use it, never on the per-block hot path."""
+        """Resident-first, then the spilled segments newest first.
+
+        Detection prices every sandwich and liquidation from its
+        receipts, so this runs once per detected attack on a spilled
+        chain.  Each non-resident segment is screened by bisecting its
+        locator keys (:meth:`SegmentStore.holds_tx_key`); only a
+        candidate segment is loaded (through the reader's LRU) and
+        confirmed by full-hash compare — a 64-bit prefix collision just
+        moves on to the next candidate.
+        """
         located = super().locate_transaction(tx_hash)
         if located is not None:
             return located
-        for info in reversed(self._segments_list()):
+        try:
+            key = _tx_key(tx_hash)
+        except ValueError:
+            return None
+        for info in reversed(self.store._segments):
             if self.blocks and info.first_block >= self.blocks[0].number:
                 continue
-            for tx_index_block in self.reader.iter_range(
-                    info.first_block, info.last_block):
-                for position, tx in enumerate(
-                        tx_index_block.transactions):
+            if not self.store.holds_tx_key(info.epoch, key):
+                continue
+            for block in self.reader.iter_range(info.first_block,
+                                                info.last_block):
+                for position, tx in enumerate(block.transactions):
                     if tx.hash == tx_hash:
-                        return tx_index_block, position
+                        return block, position
         return None
 
     def iter_range(self, from_block: Optional[int] = None,

@@ -11,9 +11,11 @@ spilling chain must serve reads bit-identically to a plain in-memory
 import json
 import os
 import pickle
+from array import array
 
 import pytest
 
+from repro import quick_study
 from repro.chain.block import BlockBuilder
 from repro.chain.intents import TokenTransferIntent
 from repro.chain.node import Blockchain
@@ -26,16 +28,18 @@ from repro.chain.segments import (
     SpillingBlockchain,
 )
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Transaction, reset_tx_counter
 from repro.chain.types import address_from_label, ether, gwei
+from repro.faults import FaultPlan
 
 A = address_from_label("alice")
 B = address_from_label("bob")
 MINER = address_from_label("miner")
 
 
-def build_blocks(num_blocks):
-    """``num_blocks`` contiguous blocks, one token transfer each."""
+def build_blocks(num_blocks, txs_per_block=1):
+    """``num_blocks`` contiguous blocks of ``txs_per_block`` token
+    transfers each."""
     state = WorldState()
     state.credit_eth(A, ether(1_000))
     state.mint_token("DAI", A, 10**6)
@@ -43,10 +47,11 @@ def build_blocks(num_blocks):
     for n in range(1, num_blocks + 1):
         bld = BlockBuilder(state, number=n, timestamp=13 * n,
                            coinbase=MINER, base_fee=0)
-        tx = Transaction(sender=A, nonce=state.nonce(A), to=B,
-                         gas_price=gwei(10), gas_limit=60_000,
-                         intent=TokenTransferIntent("DAI", B, n))
-        bld.apply_transaction(tx)
+        for _ in range(txs_per_block):
+            tx = Transaction(sender=A, nonce=state.nonce(A), to=B,
+                             gas_price=gwei(10), gas_limit=60_000,
+                             intent=TokenTransferIntent("DAI", B, n))
+            bld.apply_transaction(tx)
         blocks.append(bld.finalize())
     return blocks
 
@@ -297,3 +302,171 @@ class TestSpillingBlockchain:
         with pytest.raises(ValueError):
             SpillingBlockchain(store, epoch_blocks=3,
                                max_resident_epochs=0)
+
+
+def count_loads(monkeypatch, store):
+    """Count ``store.load_segment`` calls (a list of loaded epochs)."""
+    loads = []
+    original = store.load_segment
+
+    def counted(epoch):
+        loads.append(epoch)
+        return original(epoch)
+
+    monkeypatch.setattr(store, "load_segment", counted)
+    return loads
+
+
+def tampered(tx_hash):
+    """Same 16-hex-digit locator prefix, different tail."""
+    last = "0" if tx_hash[-1] != "0" else "1"
+    return tx_hash[:-1] + last
+
+
+#: (num_blocks, epoch_blocks, max_resident_epochs) chain shapes
+LOCATOR_SHAPES = [(14, 3, 2), (20, 4, 1), (17, 2, 3), (9, 1, 1)]
+
+
+class TestTransactionLocator:
+    """Spilled lookups go through the per-segment locator and must
+    resolve exactly as the in-memory :class:`Blockchain` does."""
+
+    def spilled_pair(self, tmp_path, num_blocks, epoch_blocks,
+                     max_resident):
+        blocks = build_blocks(num_blocks, txs_per_block=3)
+        plain = Blockchain()
+        store = SegmentStore.create(str(tmp_path / "segs"))
+        spilling = SpillingBlockchain(
+            store, epoch_blocks=epoch_blocks,
+            max_resident_epochs=max_resident)
+        for block in blocks:
+            plain.append(block)
+            spilling.append(block)
+        return plain, spilling
+
+    @staticmethod
+    def located(chain, tx_hash):
+        found = chain.locate_transaction(tx_hash)
+        if found is None:
+            return None
+        block, position = found
+        return block.number, block.hash, position
+
+    @staticmethod
+    def spilled_txs(plain, spilling):
+        resident_start = spilling.blocks[0].number
+        return [tx for block in plain.blocks
+                if block.number < resident_start
+                for tx in block.transactions]
+
+    @pytest.mark.parametrize("shape", LOCATOR_SHAPES)
+    def test_every_tx_matches_in_memory_chain(self, tmp_path, shape):
+        plain, spilling = self.spilled_pair(tmp_path, *shape)
+        assert self.spilled_txs(plain, spilling)
+        for block in plain.blocks:
+            for tx in block.transactions:
+                assert self.located(spilling, tx.hash) == \
+                    self.located(plain, tx.hash), (block.number, tx.hash)
+
+    @pytest.mark.parametrize("shape", LOCATOR_SHAPES)
+    def test_unknown_and_prefix_collision_miss(self, tmp_path, shape):
+        plain, spilling = self.spilled_pair(tmp_path, *shape)
+        assert spilling.locate_transaction("0x" + "00" * 32) is None
+        assert spilling.locate_transaction("not-a-hash") is None
+        for tx in self.spilled_txs(plain, spilling):
+            assert spilling.locate_transaction(tampered(tx.hash)) is None
+
+    @pytest.mark.parametrize("shape", LOCATOR_SHAPES)
+    def test_chain_order_sweep_loads_each_segment_once(
+            self, tmp_path, monkeypatch, shape):
+        plain, spilling = self.spilled_pair(tmp_path, *shape)
+        spilled = [info for info in spilling.store.segments
+                   if info.first_block < spilling.blocks[0].number]
+        loads = count_loads(monkeypatch, spilling.store)
+        for tx in self.spilled_txs(plain, spilling):
+            assert spilling.locate_transaction(tx.hash) is not None
+        assert len(loads) <= len(spilled), loads
+        assert sorted(set(loads)) == [info.epoch for info in spilled]
+
+    @pytest.mark.parametrize("shape", LOCATOR_SHAPES)
+    def test_reopened_store_builds_keys_lazily(self, tmp_path,
+                                               monkeypatch, shape):
+        plain, spilling = self.spilled_pair(tmp_path, *shape)
+        _, epoch_blocks, max_resident = shape
+        store = SegmentStore(spilling.store.root)
+        assert store.locator_bytes == 0
+        fresh = SpillingBlockchain(store, epoch_blocks=epoch_blocks,
+                                   max_resident_epochs=max_resident)
+        loads = count_loads(monkeypatch, store)
+        segmented = [tx for block in plain.blocks
+                     if store.segment_for_block(block.number) is not None
+                     for tx in block.transactions]
+        for tx in segmented:
+            assert self.located(fresh, tx.hash) == \
+                self.located(plain, tx.hash)
+            assert fresh.locate_transaction(tampered(tx.hash)) is None
+        # One load per segment to build its keys, at most one more
+        # through the reader per segment in a chain-order sweep.
+        assert len(loads) <= 2 * len(store.segments), loads
+        assert store.locator_bytes == 8 * len(segmented)
+
+    def test_prefix_collision_moves_to_next_candidate(self, tmp_path,
+                                                      monkeypatch):
+        plain, spilling = self.spilled_pair(tmp_path, 14, 3, 2)
+        store = spilling.store
+        target = plain.blocks[0].transactions[1]
+        key = int(target.hash[2:18], 16)
+        # Plant the target's prefix in every newer segment's keys: each
+        # becomes a candidate, is loaded, fails the full-hash compare.
+        newer = [info.epoch for info in store.segments
+                 if 0 < info.epoch
+                 and info.first_block < spilling.blocks[0].number]
+        for epoch in newer:
+            store._tx_keys[epoch] = array(
+                "Q", sorted(list(store._tx_keys[epoch]) + [key]))
+        loads = count_loads(monkeypatch, store)
+        assert self.located(spilling, target.hash) == \
+            (1, plain.blocks[0].hash, 1)
+        assert loads == sorted(newer, reverse=True) + [0]
+
+    def test_rewritten_epoch_replaces_keys(self, tmp_path):
+        store = SegmentStore.create(str(tmp_path / "segs"))
+        first, second = build_blocks(3), build_blocks(3)
+        store.write_segment(0, first)
+        store.write_segment(0, second)
+
+        def holds(tx):
+            return store.holds_tx_key(0, int(tx.hash[2:18], 16))
+
+        assert not any(holds(b.transactions[0]) for b in first)
+        assert all(holds(b.transactions[0]) for b in second)
+        assert store.locator_bytes == 8 * 3
+
+
+class TestSpilledDetectionUnderFaults:
+    """Spilled lookups issue the same archive ops as in-memory ones, so
+    a fault plan hits the same calls and the runs agree exactly."""
+
+    @staticmethod
+    def study(seed, segment_dir=None):
+        reset_tx_counter()
+        plan = FaultPlan.from_profile("transient", seed, 1, 20 * 23)
+        return quick_study(blocks_per_month=20, fault_plan=plan,
+                           segment_dir=segment_dir)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_rows_and_quality_match_in_memory(self, tmp_path, seed):
+        spilled = self.study(seed, segment_dir=tmp_path / "segs")
+        in_memory = self.study(seed)
+        chain = spilled.result.blockchain
+        assert isinstance(chain, SpillingBlockchain)
+        rows = spilled.dataset.to_rows()
+        # Attacks priced from receipts in evicted epochs: the lookups
+        # under test really went through the locator.
+        assert any(row["block_number"] < chain.blocks[0].number
+                   and row["kind"] in ("sandwich", "liquidation")
+                   for row in rows)
+        assert spilled.dataset.quality.source("archive").retries > 0
+        assert rows == in_memory.dataset.to_rows()
+        assert spilled.dataset.quality.to_dict() == \
+            in_memory.dataset.quality.to_dict()
