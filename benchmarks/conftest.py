@@ -27,8 +27,6 @@ def bench_blocks_per_month() -> int:
 
 @pytest.fixture(scope="session")
 def sim_result():
-    from repro.chain.transaction import reset_tx_counter
-    reset_tx_counter()  # identical world regardless of bench order
     config = ScenarioConfig(blocks_per_month=bench_blocks_per_month(),
                             seed=7)
     world = build_paper_scenario(config)

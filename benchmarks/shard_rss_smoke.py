@@ -42,7 +42,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "src"))
 
 from repro.chain.segments import SegmentStore
-from repro.chain.transaction import reset_tx_counter
 from repro.sim import (
     ScenarioConfig,
     build_paper_scenario,
@@ -144,7 +143,6 @@ def main(argv=None):
     prefix = min(args.prefix_epochs,
                  max(1, args.blocks // args.epoch_blocks))
 
-    reset_tx_counter()
     world = build_paper_scenario(config)
     with tempfile.TemporaryDirectory(prefix="repro-segs-") as root:
         store = SegmentStore.create(os.path.join(root, "segments"))

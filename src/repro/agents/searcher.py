@@ -413,7 +413,7 @@ class SandwichSearcher(Searcher):
                               min_amount_out=0 if faulty
                               else plan.frontrun_out),
             meta={"mev": self.strategy, "leg": "front"},
-            **front_fields)
+            _uid=view.state.next_tx_uid(), **front_fields)
         back = Transaction(
             sender=self.address, nonce=nonce + 1, to=pool.address,
             gas_limit=150_000,
@@ -421,7 +421,7 @@ class SandwichSearcher(Searcher):
                               min_amount_out=back_min,
                               coinbase_tip=tip),
             meta={"mev": self.strategy, "leg": "back"},
-            **back_fields)
+            _uid=view.state.next_tx_uid(), **back_fields)
         return self._package(view, [front, back], victim_tx, profit_eth,
                              flash_loan=False, faulty=faulty)
 
@@ -796,7 +796,8 @@ class ArbitrageSearcher(Searcher):
         tx = Transaction(sender=self.address,
                          nonce=view.state.nonce(self.address),
                          to=route[0], gas_limit=gas_limit, intent=intent,
-                         meta={"mev": self.strategy}, **fields)
+                         meta={"mev": self.strategy},
+                         _uid=view.state.next_tx_uid(), **fields)
         # A copied arbitrage *frontruns* its victim: the copy must land
         # first, so the victim is never woven ahead of it in a bundle.
         return self._package(view, [tx], victim_tx, profit,
@@ -958,7 +959,7 @@ class LiquidationSearcher(Searcher):
                          nonce=view.state.nonce(self.address),
                          to=pool.address, gas_limit=gas_limit,
                          intent=intent, meta={"mev": self.strategy},
-                         **fields)
+                         _uid=view.state.next_tx_uid(), **fields)
         return self._package(view, [tx], victim_tx, profit,
                              flash_loan=use_flash, faulty=faulty)
 
@@ -1027,7 +1028,7 @@ class OtherBundleUser(Searcher):
                               min_amount_out=quote * 999 // 1000,
                               coinbase_tip=tip),
             meta={"mev": None, "other_bundle": True},
-            **view.fees.bundle_fields())
+            _uid=view.state.next_tx_uid(), **view.fees.bundle_fields())
         truth = self._truth(view, CHANNEL_FLASHBOTS, [tx], None, 0,
                             False, False)
         bundle = make_bundle(self.address, [tx], view.target_block)

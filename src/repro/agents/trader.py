@@ -144,6 +144,7 @@ class TraderPopulation:
             intent=SwapIntent(pool.address, token_in, amount_in,
                               min_amount_out=min_out),
             meta={"role": "retail-swap", "slippage_bps": slippage_bps},
+            _uid=state.next_tx_uid(),
             **fees.user_fields(self.rng))
 
     def make_transfer(self, state, fees: FeeModel) -> Transaction:
@@ -156,6 +157,7 @@ class TraderPopulation:
                                value=ether(self.rng.uniform(0.01, 2.0)),
                                gas_limit=21_000,
                                meta={"role": "transfer"},
+                               _uid=state.next_tx_uid(),
                                **fees.user_fields(self.rng))
         token = self.rng.choice(["DAI", "USDC", "LINK"])
         amount = ether(self.rng.uniform(1, 500))
@@ -165,6 +167,7 @@ class TraderPopulation:
                            intent=TokenTransferIntent(token, recipient,
                                                       amount),
                            meta={"role": "transfer"},
+                           _uid=state.next_tx_uid(),
                            **fees.user_fields(self.rng))
 
     def make_stable_swap(self, state, registry: ExchangeRegistry,
@@ -213,6 +216,7 @@ class TraderPopulation:
             intent=SwapIntent(pool.address, token_in, amount,
                               min_amount_out=quote * 99 // 100),
             meta={"role": "stable-swap"},
+            _uid=state.next_tx_uid(),
             **fees.user_fields(self.rng))
 
     def make_naive_arbitrage(self, state, registry: ExchangeRegistry,
@@ -239,6 +243,7 @@ class TraderPopulation:
                     route=[dear.address, cheap.address], token_in=WETH,
                     amount_in=amount, min_profit=1),
                 meta={"role": "amateur-arb"},
+                _uid=state.next_tx_uid(),
                 **fees.user_fields(self.rng))
         return None
 
@@ -297,6 +302,7 @@ class BorrowerPopulation:
             intent=BorrowIntent(pool.address, collateral_token,
                                 collateral, debt_token, debt_amount),
             meta={"role": "borrower"},
+            _uid=state.next_tx_uid(),
             **fees.user_fields(self.rng))
 
 
@@ -334,6 +340,7 @@ class OracleKeeper:
                 intent=OracleUpdateIntent(self.oracle.address, token,
                                           price),
                 meta={"role": "oracle-update"},
+                _uid=state.next_tx_uid(),
                 **fees.user_fields(self.rng, urgency=1.2)))
             nonce += 1
         return updates

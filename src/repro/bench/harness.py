@@ -55,7 +55,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, \
 
 from repro.chain.events import FlashLoanEvent
 from repro.chain.node import ArchiveNode
-from repro.chain.transaction import reset_tx_counter
 from repro.core.datasets import MevDataset
 from repro.core.pipeline import MevInspector, plan_chunks
 from repro.core.profit import PriceService
@@ -162,7 +161,7 @@ def _block_sequence(result: SimulationResult,
     gate: every block hash plus every included transaction hash, in
     order.  The block hash pins header fields (number, miner,
     timestamp, tx count); the tx-hash tuple pins exact inclusion and
-    ordering, and each tx hash commits to the process-wide uid counter,
+    ordering, and each tx hash commits to the uid its world minted,
     so two runs can only match if they agreed on every transaction ever
     *created* — every RNG draw, every searcher decision — not merely
     the ones that landed."""
@@ -283,13 +282,7 @@ def _simulate(config: ScenarioConfig,
               world_cache: Union[str, Path, None],
               profiler: _StageProfiler,
               ) -> Tuple[SimulationResult, float, Optional[Dict[str, Any]]]:
-    """The world to benchmark, from snapshot when possible.
-
-    A fresh simulation resets the process-wide transaction-uid counter
-    first, so the timed run produces the same world whether or not
-    other scenarios were built earlier in the process — and so the
-    reference replay in :func:`run_bench` compares like with like.
-    """
+    """The world to benchmark, from snapshot when possible."""
     cache_info: Optional[Dict[str, Any]] = None
     if world_cache is not None:
         cache_info = {"dir": str(world_cache),
@@ -300,7 +293,6 @@ def _simulate(config: ScenarioConfig,
         if cached is not None:
             cache_info["hit"] = True
             return cached, _clock() - started, cache_info
-    reset_tx_counter()
     started = _clock()
     result = profiler.run(
         "simulate", lambda: build_paper_scenario(config).run())
@@ -369,7 +361,6 @@ def _seal_pass_telemetry(config: ScenarioConfig,
     profiling enabled, each epoch gets its own ``shard_epoch[N]``
     table, so late-epoch attribution is not averaged away.
     """
-    reset_tx_counter()
     world = build_paper_scenario(config)
     flat_gc = world.install_flat_gc()
     seals: Dict[int, Any] = {}
@@ -498,7 +489,6 @@ def run_bench(bpm: int = 60, seed: int = 7,
     sim_identical: Optional[bool] = None
     sim_reference_s: Optional[float] = None
     if not cache_hit:
-        reset_tx_counter()
         started = _clock()
         reference = build_paper_scenario(
             config, fast_paths=False).run()
@@ -670,9 +660,7 @@ def run_bench(bpm: int = 60, seed: int = 7,
     # one seal per epoch boundary, every epoch is re-simulated from its
     # seal on worker processes, and the spliced chain must reproduce
     # the benchmarked world bit for bit — the splice-vs-reference
-    # discipline, applied to world generation itself.  Runs last: it
-    # resets the transaction-uid counter and re-simulates, which must
-    # not perturb the stages above.
+    # discipline, applied to world generation itself.
     shard_identical: Optional[bool] = None
     shard_info: Optional[Dict[str, Any]] = None
     if shard:

@@ -31,6 +31,8 @@ class WorldState:
         self._tokens: Dict[str, Dict[Address, int]] = {}
         self._nonces: Dict[Address, int] = {}
         self._journal: List[JournalEntry] = []
+        #: next transaction uid; outside the journal, so never rewound
+        self._next_tx_uid = 0
 
     # ETH ----------------------------------------------------------------
 
@@ -165,6 +167,12 @@ class WorldState:
         self._journal.append((nonces, addr, previous))
         nonces[addr] = previous + 1
         return previous
+
+    def next_tx_uid(self) -> int:
+        """Mint the uid of the next transaction built in this world."""
+        uid = self._next_tx_uid
+        self._next_tx_uid = uid + 1
+        return uid
 
     # Journaling -----------------------------------------------------------
 

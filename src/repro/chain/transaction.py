@@ -11,6 +11,11 @@ forbidden from reading ``meta``: it must rediscover everything from receipts
 and logs, exactly as the paper's scripts rediscover MEV from archive-node
 data.  ``meta`` exists solely so tests can score heuristic precision/recall
 against ground truth.
+
+The hash also commits to ``_uid``, minted by the owning world's
+:meth:`~repro.chain.state.WorldState.next_tx_uid` (uid 0 outside a world),
+so same-field transactions stay distinct, as signatures make them on
+mainnet, and no hash depends on what else ran in the process.
 """
 
 from __future__ import annotations
@@ -25,46 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 LEGACY = "legacy"
 EIP1559 = "eip1559"
-
-_TX_NEXT_UID = 0
-
-
-def _next_uid() -> int:
-    global _TX_NEXT_UID
-    uid = _TX_NEXT_UID
-    _TX_NEXT_UID = uid + 1
-    return uid
-
-
-def tx_counter() -> int:
-    """The next uid the process would assign (see :func:`set_tx_counter`)."""
-    return _TX_NEXT_UID
-
-
-def set_tx_counter(value: int) -> None:
-    """Position the global transaction-uid counter at ``value``.
-
-    Epoch seals record the counter at the sealing boundary so a fresh
-    worker process can resume mid-window and mint transaction uids —
-    and therefore transaction hashes — exactly as the serial run would
-    have from that point on.
-    """
-    global _TX_NEXT_UID
-    if value < 0:
-        raise ValueError("tx counter cannot be negative")
-    _TX_NEXT_UID = value
-
-
-def reset_tx_counter() -> None:
-    """Reset the global transaction-uid counter (test determinism).
-
-    Transaction hashes commit to a process-wide counter (mirroring
-    signature uniqueness), so a simulation's exact tie-breaking depends
-    on how many transactions were created earlier in the process.  Test
-    and benchmark fixtures call this before building a scenario so a
-    given seed always produces the identical world.
-    """
-    set_tx_counter(0)
 
 
 class TxIntent:
@@ -108,7 +73,7 @@ class Transaction:
     intent: Optional[TxIntent] = None
     first_seen_block: Optional[int] = None
     meta: Dict[str, Any] = field(default_factory=dict)
-    _uid: int = field(default_factory=_next_uid, repr=False)
+    _uid: int = field(default=0, repr=False)
     _hash: Optional[Hash32] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -123,7 +88,8 @@ class Transaction:
 
     @property
     def hash(self) -> Hash32:
-        """Stable transaction hash derived from identity fields."""
+        """Stable transaction hash derived from identity fields and the
+        uid the owning world minted (see the module docstring)."""
         if self._hash is None:
             self._hash = hash_of((
                 "tx", self._uid, self.sender, self.nonce, self.to,

@@ -17,7 +17,6 @@ dataset.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -52,8 +51,6 @@ class Auction:
 class AuctionHouse:
     """Auction-based liquidation venue bound to a lending pool."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, pool: LendingPool,
                  duration_blocks: int = 20,
                  min_increment_bps: int = 300) -> None:
@@ -66,6 +63,8 @@ class AuctionHouse:
         self.duration_blocks = duration_blocks
         self.min_increment_bps = min_increment_bps
         self.auctions: Dict[int, Auction] = {}
+        #: per-house ids, like ``LendingPool._next_loan_id``
+        self._next_auction_id = 1
 
     def open_auctions(self, block_number: int) -> List[Auction]:
         return [a for a in self.auctions.values()
@@ -82,7 +81,9 @@ class AuctionHouse:
         if any(a.loan.loan_id == loan_id and not a.settled
                for a in self.auctions.values()):
             raise Revert("auction already running for this loan")
-        auction = Auction(auction_id=next(self._ids), loan=loan,
+        auction_id = self._next_auction_id
+        self._next_auction_id += 1
+        auction = Auction(auction_id=auction_id, loan=loan,
                           debt_amount=loan.debt_amount,
                           ends_at_block=ctx.block_number
                           + self.duration_blocks)

@@ -5,7 +5,9 @@ safety analyzers want (a missed edge hides a bug; a spurious edge at
 worst costs a review):
 
 * ``name`` calls resolve through the module's import map or to a local
-  definition (calling a class resolves to its ``__init__``);
+  definition (calling a class resolves to its ``__init__``; for a
+  dataclass that is the generated one the summarizer models, which
+  calls every ``default_factory`` and ``__post_init__``);
 * ``self.meth()`` resolves against the caller's class, its project
   bases (inherited methods), and every transitive subclass override
   (dynamic dispatch);

@@ -64,18 +64,6 @@ class Project:
     cache_hits: int = 0
     cache_misses: int = 0
 
-    def summary_for(self, module: str) -> Optional[ModuleSummary]:
-        return self.modules.get(module)
-
-    def function(self, name: str) -> Optional[FunctionSummary]:
-        return self.functions.get(name)
-
-    def module_functions(self, module: str) -> List[str]:
-        summary = self.modules.get(module)
-        if summary is None:
-            return []
-        return [qualname(module, key) for key in summary.functions]
-
     def class_methods(self, module: str, cls: str) -> List[str]:
         """Qualnames of ``cls``'s methods, own + inherited + overrides.
 

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 #: Bump when the summary shape or the local analysis changes; cached
 #: summaries with another schema are recomputed, never trusted.
-FLOW_SCHEMA = 3
+FLOW_SCHEMA = 4
 
 #: ``module.attr`` call targets that read ambient entropy/wall clock.
 NONDET_ATTRS = {
@@ -608,6 +608,25 @@ class _FunctionSummarizer:
                 self._tokens(child)
 
 
+def _dataclass_init(node: ast.ClassDef,
+                    imports: Dict[str, str]) -> FunctionSummary:
+    """The ``__init__`` a ``@dataclass`` generates: it calls every
+    ``default_factory`` its fields name, then ``__post_init__``."""
+    factories = [keyword.value for child in node.body
+                 if isinstance(child, ast.AnnAssign)
+                 and isinstance(child.value, ast.Call)
+                 for keyword in child.value.keywords
+                 if keyword.arg == "default_factory"]
+    calls = [CallSite("name", factory.id, imports.get(factory.id),
+                      factory.lineno)
+             for factory in factories if isinstance(factory, ast.Name)]
+    calls.append(CallSite("self", "__post_init__", None, node.lineno))
+    return FunctionSummary(name="__init__",
+                           qualkey=f"{node.name}.__init__",
+                           lineno=node.lineno, end_lineno=node.end_lineno,
+                           params=["self"], is_method=True, calls=calls)
+
+
 def summarize_module(module: str, path: str, source_hash: str,
                      tree: ast.Module) -> ModuleSummary:
     """Build the analysis summary of one parsed module."""
@@ -657,6 +676,12 @@ def summarize_module(module: str, path: str, source_hash: str,
                     methods.append(child.name)
                     add_function(child, f"{node.name}.{child.name}",
                                  is_method=True)
+            if "__init__" not in methods and any(
+                    _decorator_info(dec)["name"] == "dataclass"
+                    for dec in node.decorator_list):
+                methods.append("__init__")
+                summary.functions[f"{node.name}.__init__"] = \
+                    _dataclass_init(node, imports)
             summary.classes[node.name] = {
                 "bases": bases, "methods": methods,
                 "lineno": node.lineno}

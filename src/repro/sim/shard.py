@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
 from repro.chain.node import ArchiveNode, Blockchain
-from repro.chain.transaction import reset_tx_counter
 from repro.engine.executors import (
     BlockRange,
     ParallelExecutor,
@@ -72,9 +71,9 @@ class EpochRunner:
 
     Shipped to worker processes by :class:`ParallelExecutor` exactly
     like the detection ``ChunkRunner``; only ``(lo, hi)`` ranges travel
-    per task.  Restoring positions the process-wide transaction-uid
-    counter at the seal, so the hashes a worker mints match the serial
-    run's no matter which process runs which epoch.
+    per task.  The seal carries the world state with its transaction-uid
+    allocator, so the hashes a worker mints match the serial run's no
+    matter which process runs which epoch.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -192,7 +191,6 @@ def simulate_sharded(config: ScenarioConfig, workers: int = 1,
     ``workers`` and splices.  Returns ``(serial, sharded, info)``;
     ``sharded`` covers the full window or the prefix accordingly.
     """
-    reset_tx_counter()
     seals: Dict[int, EpochSeal] = {}
     serial = build_paper_scenario(
         config, fast_paths=fast_paths).run(collect_seals=seals)

@@ -45,8 +45,7 @@ from repro.chain.node import ArchiveNode, Blockchain
 from repro.chain.p2p import GossipNetwork, MempoolObserver
 from repro.chain.segments import SegmentStore, SpillingBlockchain
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction, set_tx_counter, \
-    tx_counter
+from repro.chain.transaction import Transaction
 from repro.chain.types import Address, ether
 from repro.dex.registry import ExchangeRegistry
 from repro.flashbots.api import FlashbotsBlocksApi
@@ -138,7 +137,8 @@ def seal_fingerprint(core_digest: str,
 class EpochSeal:
     """Picklable snapshot of everything a world carries across an epoch
     boundary: mempool (incl. nonce-gap carryover), agent and searcher
-    state, pool ledgers, miner profiles, observer trace, fee state.
+    state, pool ledgers, the world state (with its transaction-uid
+    allocator), miner profiles, observer trace, fee state.
 
     The ``payload`` is a single pickle of the carried-object graph, so
     shared references (keeper → oracle, gossip → observer, intents →
@@ -155,9 +155,6 @@ class EpochSeal:
     #: the last epoch index: they only carry final state for splicing).
     epoch_index: int
     first_block: int
-    #: process-wide transaction-uid counter at the boundary, so resumed
-    #: workers mint identical transaction hashes.
-    tx_counter: int
     #: tip hash at the boundary (``None`` at genesis) — lets the splice
     #: validate linkage before stitching worker output onto the chain.
     parent_hash: Optional[str]
@@ -547,7 +544,8 @@ class World:
             txs.append(Transaction(
                 sender=miner.address, nonce=nonce + i, to=recipient,
                 value=schedule.amount_wei, gas_limit=21_000,
-                meta={"role": "payout"}, **fees.bundle_fields()))
+                meta={"role": "payout"}, _uid=self.state.next_tx_uid(),
+                **fees.bundle_fields()))
         return make_bundle(miner.address, txs, target,
                            bundle_type=MINER_PAYOUT)
 
@@ -564,7 +562,7 @@ class World:
             sender=miner.address, nonce=self.state.nonce(miner.address),
             to=miner.mev_account, value=ether(self.rng.uniform(0.1, 2)),
             gas_limit=21_000, meta={"role": "rogue"},
-            **fees.bundle_fields())
+            _uid=self.state.next_tx_uid(), **fees.bundle_fields())
         return make_bundle(miner.address, [tx], target,
                            bundle_type=ROGUE)
 
@@ -699,7 +697,7 @@ class World:
                 parent_hash = tip_block.hash
         return EpochSeal(
             epoch_index=-(-height // self.epoch_blocks),
-            first_block=height + 1, tx_counter=tx_counter(),
+            first_block=height + 1,
             parent_hash=parent_hash, payload=payload,
             fingerprint=seal_fingerprint(
                 hashlib.sha256(payload).hexdigest(), parts),
@@ -764,7 +762,6 @@ class World:
             kind: sum(part.count for part in seal.parts
                       if part.kind == kind)
             for kind in ("observer", "truths", "api")}
-        set_tx_counter(seal.tx_counter)
 
     def attach_segment_store(self, store: SegmentStore,
                              max_resident_epochs: int = 2,

@@ -20,12 +20,6 @@ from repro.sim import ScenarioConfig, build_paper_scenario
 CONFIG = ScenarioConfig(blocks_per_month=6, seed=3)
 
 
-def tiny_world():
-    from repro.chain.transaction import reset_tx_counter
-    reset_tx_counter()
-    return build_paper_scenario(CONFIG).run()
-
-
 class TestWorldDigest:
     def test_stable_for_equal_configs(self):
         assert world_digest(CONFIG) == \
@@ -47,7 +41,7 @@ class TestWorldDigest:
 
 class TestStoreAndLoad:
     def test_round_trip(self, tmp_path):
-        result = tiny_world()
+        result = build_paper_scenario(CONFIG).run()
         path = store_world(tmp_path, CONFIG, result)
         assert path.exists()
         loaded = load_world(tmp_path, CONFIG)
@@ -62,7 +56,7 @@ class TestStoreAndLoad:
                           / "never-created", CONFIG) is None
 
     def test_fingerprint_mismatch_is_a_miss(self, tmp_path):
-        result = tiny_world()
+        result = build_paper_scenario(CONFIG).run()
         path = store_world(tmp_path, CONFIG, result)
         with open(path, "rb") as stream:
             document = pickle.load(stream)
@@ -78,7 +72,7 @@ class TestStoreAndLoad:
         assert load_world(tmp_path, CONFIG) is None
 
     def test_snapshot_carries_the_format_marker(self, tmp_path):
-        store_world(tmp_path, CONFIG, tiny_world())
+        store_world(tmp_path, CONFIG, build_paper_scenario(CONFIG).run())
         with open(_world_path(tmp_path, CONFIG), "rb") as stream:
             document = pickle.load(stream)
         assert document["format"] == WORLD_CACHE_FORMAT == 2
@@ -87,7 +81,7 @@ class TestStoreAndLoad:
         """A monolithic cache written by <= 1.5.0 has no format
         marker; it must be refused with a message naming the old
         layout, never a pickle error."""
-        result = tiny_world()
+        result = build_paper_scenario(CONFIG).run()
         path = store_world(tmp_path, CONFIG, result)
         with open(path, "rb") as stream:
             document = pickle.load(stream)
@@ -98,7 +92,7 @@ class TestStoreAndLoad:
         assert "1.5.0" in capsys.readouterr().err
 
     def test_other_format_is_a_miss(self, tmp_path, capsys):
-        result = tiny_world()
+        result = build_paper_scenario(CONFIG).run()
         path = store_world(tmp_path, CONFIG, result)
         with open(path, "rb") as stream:
             document = pickle.load(stream)

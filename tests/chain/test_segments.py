@@ -28,7 +28,7 @@ from repro.chain.segments import (
     SpillingBlockchain,
 )
 from repro.chain.state import WorldState
-from repro.chain.transaction import Transaction, reset_tx_counter
+from repro.chain.transaction import Transaction
 from repro.chain.types import address_from_label, ether, gwei
 from repro.faults import FaultPlan
 
@@ -37,10 +37,11 @@ B = address_from_label("bob")
 MINER = address_from_label("miner")
 
 
-def build_blocks(num_blocks, txs_per_block=1):
+def build_blocks(num_blocks, txs_per_block=1, state=None):
     """``num_blocks`` contiguous blocks of ``txs_per_block`` token
-    transfers each."""
-    state = WorldState()
+    transfers each, minted in ``state`` (a fresh world by default)."""
+    if state is None:
+        state = WorldState()
     state.credit_eth(A, ether(1_000))
     state.mint_token("DAI", A, 10**6)
     blocks = []
@@ -50,7 +51,8 @@ def build_blocks(num_blocks, txs_per_block=1):
         for _ in range(txs_per_block):
             tx = Transaction(sender=A, nonce=state.nonce(A), to=B,
                              gas_price=gwei(10), gas_limit=60_000,
-                             intent=TokenTransferIntent("DAI", B, n))
+                             intent=TokenTransferIntent("DAI", B, n),
+                             _uid=state.next_tx_uid())
             bld.apply_transaction(tx)
         blocks.append(bld.finalize())
     return blocks
@@ -431,7 +433,8 @@ class TestTransactionLocator:
 
     def test_rewritten_epoch_replaces_keys(self, tmp_path):
         store = SegmentStore.create(str(tmp_path / "segs"))
-        first, second = build_blocks(3), build_blocks(3)
+        state = WorldState()
+        first, second = [build_blocks(3, state=state) for _ in range(2)]
         store.write_segment(0, first)
         store.write_segment(0, second)
 
@@ -449,7 +452,6 @@ class TestSpilledDetectionUnderFaults:
 
     @staticmethod
     def study(seed, segment_dir=None):
-        reset_tx_counter()
         plan = FaultPlan.from_profile("transient", seed, 1, 20 * 23)
         return quick_study(blocks_per_month=20, fault_plan=plan,
                            segment_dir=segment_dir)

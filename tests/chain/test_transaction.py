@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.chain.state import WorldState
 from repro.chain.transaction import EIP1559, LEGACY, Transaction
 from repro.chain.types import address_from_label, gwei
 
@@ -40,14 +41,18 @@ class TestHashing:
         assert tx.hash == tx.hash
 
     def test_two_identical_payload_txs_differ(self):
-        # Distinct transaction objects are distinct network events even if
+        # Two txs minted in one world are distinct network events even if
         # the fields match (the uid mirrors signature uniqueness).
-        assert legacy_tx().hash != legacy_tx().hash
+        state = WorldState()
+        first = legacy_tx(_uid=state.next_tx_uid())
+        assert first.hash != legacy_tx(_uid=state.next_tx_uid()).hash
 
     def test_equality_follows_hash(self):
-        tx = legacy_tx()
+        state = WorldState()
+        tx = legacy_tx(_uid=state.next_tx_uid())
         assert tx == tx
-        assert tx != legacy_tx()
+        assert tx != legacy_tx(_uid=state.next_tx_uid())
+        assert legacy_tx() == legacy_tx()  # outside a world: uid 0
 
     def test_usable_in_sets(self):
         tx = legacy_tx()

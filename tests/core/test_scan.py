@@ -185,8 +185,6 @@ class TestScanRangeEquivalence:
         assert flash_txs == set()
 
     def test_on_simulated_study_window(self):
-        from repro.chain.transaction import reset_tx_counter
-        reset_tx_counter()
         config = ScenarioConfig(blocks_per_month=8, seed=11)
         result = build_paper_scenario(config).run()
         prices = PriceService(result.oracle)

@@ -21,8 +21,6 @@ def fingerprint(dataset):
 
 @pytest.fixture(scope="session")
 def sim_result():
-    from repro.chain.transaction import reset_tx_counter
-    reset_tx_counter()  # identical world regardless of test order
     config = ScenarioConfig(blocks_per_month=12, seed=7)
     world = build_paper_scenario(config)
     return world.run()

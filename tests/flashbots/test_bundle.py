@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.chain.types import address_from_label, gwei
 from repro.flashbots.bundle import (
@@ -15,10 +16,10 @@ from repro.flashbots.bundle import (
 SEARCHER = address_from_label("searcher")
 
 
-def tx(nonce=0):
+def tx(nonce=0, uid=0):
     return Transaction(sender=SEARCHER, nonce=nonce,
                        to=address_from_label("pool"), gas_price=gwei(5),
-                       gas_limit=100_000)
+                       gas_limit=100_000, _uid=uid)
 
 
 class TestConstruction:
@@ -54,9 +55,10 @@ class TestIdentity:
         assert fwd.bundle_id != rev.bundle_id
 
     def test_id_commits_to_contents(self):
-        base = make_bundle(SEARCHER, [tx(0)], 10)
-        other = make_bundle(SEARCHER, [tx(0)], 10)
-        # different tx objects → different hashes → different bundle ids
+        state = WorldState()
+        base = make_bundle(SEARCHER, [tx(0, state.next_tx_uid())], 10)
+        other = make_bundle(SEARCHER, [tx(0, state.next_tx_uid())], 10)
+        # two txs minted in one world → different hashes → different ids
         assert base.bundle_id != other.bundle_id
 
     def test_id_stable(self):

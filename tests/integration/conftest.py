@@ -8,8 +8,6 @@ from repro.sim import ScenarioConfig, build_paper_scenario
 
 @pytest.fixture(scope="session")
 def sim_result():
-    from repro.chain.transaction import reset_tx_counter
-    reset_tx_counter()  # identical world regardless of test order
     config = ScenarioConfig(blocks_per_month=50, seed=7)
     world = build_paper_scenario(config)
     return world.run()

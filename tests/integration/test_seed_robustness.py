@@ -7,13 +7,11 @@ import pytest
 from repro import run_inspector
 from repro.analysis import build_table1, fig9_private_distribution
 from repro.analysis.goals import profit_distribution
-from repro.chain.transaction import reset_tx_counter
 from repro.sim import ScenarioConfig, build_paper_scenario
 
 
 @pytest.fixture(scope="module", params=[101, 202, 303])
 def study(request):
-    reset_tx_counter()
     config = ScenarioConfig(blocks_per_month=30, seed=request.param)
     result = build_paper_scenario(config).run()
     return result, run_inspector(result)

@@ -67,8 +67,7 @@ class TestAuctionLifecycle:
                        StartAuctionIntent(house.address, loan.loan_id),
                        number=2)
         assert start.status
-        auction_id = 1 if not house.auctions else \
-            list(house.auctions)[0]
+        auction_id = list(house.auctions)[0]
         # Two bidders escalate over separate blocks.
         assert run_tx(state, contracts, BIDDER_A,
                       BidIntent(house.address, auction_id,
@@ -89,6 +88,15 @@ class TestAuctionLifecycle:
         assert settle.status
         assert state.token_balance("WETH", BIDDER_B) == ether(10)
         assert loan.is_closed
+
+    @pytest.mark.parametrize("house_number", [1, 2])
+    def test_each_house_numbers_its_first_auction_one(self, env,
+                                                      house_number):
+        # ids are per house: a later house in the process restarts at 1
+        state, pool, house, loan, contracts = env
+        run_tx(state, contracts, KEEPER,
+               StartAuctionIntent(house.address, loan.loan_id), number=2)
+        assert list(house.auctions) == [1]
 
     def test_healthy_loan_cannot_be_auctioned(self, env):
         state, pool, house, loan, contracts = env

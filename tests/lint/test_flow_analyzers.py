@@ -95,8 +95,13 @@ class TestR103Parallel:
             deep("r103_tp", rule_options=R103_ROOTS,
                  tests_root=str(tmp_path)), "R103")
         messages = [f.message for f in findings]
-        assert len(findings) == 3
+        assert len(findings) == 5
         assert any("COUNTER" in m for m in messages)
+        # a dataclass call reaches its default_factory and __post_init__
+        assert any("NEXT_ID" in m and "_next_id()" in m
+                   for m in messages)
+        assert any("__post_init__()" in m and "CACHE" in m
+                   for m in messages)
         assert any("CACHE" in m and "shared" in m for m in messages)
         assert any("lambda" in m and "pickled" in m for m in messages)
         # reachability witness names the root

@@ -25,8 +25,6 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1"))
 
 @pytest.fixture(scope="session")
 def sim_result():
-    from repro.chain.transaction import reset_tx_counter
-    reset_tx_counter()  # identical world regardless of test order
     config = ScenarioConfig(blocks_per_month=8, seed=5)
     return build_paper_scenario(config).run()
 

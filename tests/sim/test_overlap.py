@@ -19,7 +19,6 @@ import time
 import pytest
 
 from repro.chain.segments import SegmentStore
-from repro.chain.transaction import reset_tx_counter
 from repro.sim import ScenarioConfig, build_paper_scenario
 from repro.sim.overlap import BackgroundWriter, FlatGC
 
@@ -113,7 +112,6 @@ class TestFlatGC:
 
 def spilled_run(root, overlap_io):
     """One spilled world run; returns (result, seals, store)."""
-    reset_tx_counter()
     config = ScenarioConfig(blocks_per_month=6, seed=3, epoch_blocks=4)
     world = build_paper_scenario(config)
     store = SegmentStore.create(str(root))

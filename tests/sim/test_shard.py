@@ -10,7 +10,6 @@ back bit-identically to the serial reference.
 
 import pytest
 
-from repro.chain.transaction import reset_tx_counter
 from repro.sim import (
     ScenarioConfig,
     build_paper_scenario,
@@ -36,7 +35,6 @@ def sequence_of(blocks):
 
 def serial_reference(config, downtime=None):
     """Serial run collecting a seal at every epoch boundary."""
-    reset_tx_counter()
     world = build_paper_scenario(config)
     if downtime is not None:
         world.observer.downtime_ranges = downtime
@@ -100,7 +98,6 @@ class TestSealDeterminism:
 
     def test_seal_refused_off_boundary(self):
         config = config_for(3)
-        reset_tx_counter()
         world = build_paper_scenario(config)
         world.run(blocks=EPOCH_BLOCKS + 1)
         with pytest.raises(ValueError, match="boundary"):
@@ -108,7 +105,6 @@ class TestSealDeterminism:
 
     def test_seal_fingerprint_guards_payload(self):
         config = config_for(3)
-        reset_tx_counter()
         world = build_paper_scenario(config)
         world.run(blocks=EPOCH_BLOCKS)
         seal = world.seal()

@@ -70,12 +70,9 @@ class TestCommands:
                                                   capsys):
         """`repro run --segment-dir` must print byte-identical output
         to the all-in-memory run of the same scenario."""
-        from repro.chain.transaction import reset_tx_counter
         args = BPM + ["--epoch-blocks", "5"]
-        reset_tx_counter()
         assert main(["run"] + args) == 0
         in_memory = capsys.readouterr().out
-        reset_tx_counter()
         assert main(["run"] + args +
                     ["--segment-dir", str(tmp_path / "segs"),
                      "--max-resident-epochs", "1"]) == 0
