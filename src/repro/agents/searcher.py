@@ -47,15 +47,43 @@ STRATEGY_ARBITRAGE = "arbitrage"
 STRATEGY_LIQUIDATION = "liquidation"
 STRATEGY_OTHER = "other"
 
-#: Cross-block cache of geometric probe searches.  A probe is a pure
-#: function of (route, searcher capital, the exact reserves of every pool
-#: on the route) — all of which are in the key — so a hit is exact, never
-#: approximate: between trades on a route's pools the reserves (and hence
-#: the key) are unchanged and the probe result is provably the same.
-_PROBE_CACHE: Dict[Any, Any] = {}
 _PROBE_CACHE_MAX = 65_536
 
 _MISS = object()
+
+
+class ProbeCache:
+    """Cross-block cache of geometric probe searches, owned by one world.
+
+    A probe is a pure function of (route, searcher capital, the exact
+    reserves of every pool on the route) — all of which are in the key
+    — so a hit is exact, never approximate: between trades on a route's
+    pools the reserves (and hence the key) are unchanged and the probe
+    result is provably the same.  That is also why the cache is never
+    sealed: a restored or re-sharded world starts cold and computes the
+    same results, only slower.  Bounded at ``_PROBE_CACHE_MAX`` entries
+    (cleared wholesale when full).
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Any, Any] = {}
+        #: lookups answered from the cache (observability only)
+        self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, sig: Any) -> Any:
+        """The cached result for ``sig``, or ``_MISS``."""
+        result = self._entries.get(sig, _MISS)
+        if result is not _MISS:
+            self.hits += 1
+        return result
+
+    def put(self, sig: Any, result: Any) -> None:
+        if len(self._entries) >= _PROBE_CACHE_MAX:
+            self._entries.clear()
+        self._entries[sig] = result
 
 
 def _quote_via_pool(amount: int, pool: Any, state: Any,
@@ -156,6 +184,9 @@ class MarketView:
     #: plans); anything that draws from ``rng`` must never be cached.
     #: None disables caching entirely (the bit-identical reference path).
     memo: Optional[Dict[Any, Any]] = None
+    #: The world's cross-block probe cache (None: probes are memoized
+    #: per view only).
+    probe_cache: Optional[ProbeCache] = None
 
     @property
     def target_block(self) -> int:
@@ -604,8 +635,9 @@ class ArbitrageSearcher(Searcher):
         if key in memo:
             return memo[key]
         hops, sig = self._route_hops(view, route, capital)
-        if sig is not None:
-            cached = _PROBE_CACHE.get(sig, _MISS)
+        probes = view.probe_cache if sig is not None else None
+        if probes is not None:
+            cached = probes.get(sig)
             if cached is not _MISS:
                 memo[key] = cached
                 return cached
@@ -632,10 +664,8 @@ class ArbitrageSearcher(Searcher):
             amount *= 2
         result = None if best is None or best[1] <= 0 else best
         memo[key] = result
-        if sig is not None:
-            if len(_PROBE_CACHE) >= _PROBE_CACHE_MAX:
-                _PROBE_CACHE.clear()
-            _PROBE_CACHE[sig] = result
+        if probes is not None:
+            probes.put(sig, result)
         return result
 
     def _probe_cycle_reference(self, view: MarketView, route: List[str],

@@ -33,6 +33,7 @@ import itertools
 import json
 import os
 import pickle
+import weakref
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -453,10 +454,17 @@ class SegmentReader:
     """Ranged reads over a store's spilled blocks.
 
     The default path keeps at most ``max_resident`` segments in memory
-    (LRU) and resolves ranges by bisecting the manifest.  The reference
-    path (``bounded=False``) simply materializes segments without ever
-    evicting — the in-memory behaviour the bounded path must match
-    element for element.
+    (LRU) and resolves ranges by bisecting the manifest.  A spilled
+    segment is decoded once while its blocks are alive: the reader keeps
+    a weak map of the blocks it decoded, and an LRU miss whose requested
+    blocks are all still held elsewhere (a detection chunk holds the
+    blocks of its first fetch until it ends) is served from those live
+    objects, reading no bytes.  The weak map keeps nothing alive, so
+    residency is unchanged, and it is keyed on the manifest entry the
+    blocks were decoded under — a rewritten epoch is always read
+    afresh, as is the LRU.  The reference path (``bounded=False``) simply
+    materializes segments without ever evicting — the in-memory
+    behaviour the bounded path must match element for element.
     """
 
     def __init__(self, store: SegmentStore, max_resident: int = 2,
@@ -468,30 +476,82 @@ class SegmentReader:
         #: when False, loaded segments are never evicted — the unbounded
         #: in-memory reference the LRU fast path is checked against.
         self.bounded = bounded
-        self._resident: "OrderedDict[int, List[Block]]" = OrderedDict()
+        #: epoch -> (manifest entry it was read under, its blocks)
+        self._resident: "OrderedDict[int, tuple]" = OrderedDict()
+        #: bounded path only: the manifest entry each epoch was last
+        #: decoded under, and a weak ``(epoch, offset) -> block`` map of
+        #: those blocks (one map, so it never outgrows the live blocks).
+        self._decoded: Dict[int, SegmentInfo] = {}
+        self._alive = weakref.WeakValueDictionary()
+
+    def __getstate__(self) -> dict:
+        """Pickle without the weak map: it points only at objects alive
+        in this process, so a copy starts with nothing to revive."""
+        state = dict(self.__dict__)
+        state["_decoded"] = {}
+        del state["_alive"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._alive = weakref.WeakValueDictionary()
 
     @property
     def resident_epochs(self) -> List[int]:
         """Epochs currently held in memory (test/assertion hook)."""
         return list(self._resident)
 
-    def _load(self, epoch: int) -> List[Block]:
-        blocks = self._resident.get(epoch)
-        if blocks is not None:
+    def _load(self, info: SegmentInfo) -> List[Block]:
+        """A whole segment through the LRU, decoded on a miss."""
+        epoch = info.epoch
+        resident = self._resident.get(epoch)
+        if resident is not None and resident[0] is info:
             self._resident.move_to_end(epoch)
-            return blocks
+            return resident[1]
         blocks = self.store.load_segment(epoch)
-        self._resident[epoch] = blocks
+        if self.bounded:
+            self._decoded[epoch] = info
+            self._alive.update(((epoch, offset), block)
+                               for offset, block in enumerate(blocks))
+        self._resident[epoch] = (info, blocks)
+        self._resident.move_to_end(epoch)
         if self.bounded:
             while len(self._resident) > self.max_resident:
                 self._resident.popitem(last=False)
         return blocks
 
+    def live_blocks(self, info: SegmentInfo, first: int = 0,
+                    last: Optional[int] = None) -> List[Block]:
+        """The blocks decoded under manifest entry ``info``, at offsets
+        ``first..last`` (default: to the segment's end), that are still
+        alive — resident, or held by a caller — in order, skipping dead
+        ones.  Reads nothing; always empty on the reference path."""
+        if self._decoded.get(info.epoch) is not info:
+            return []
+        if last is None:
+            last = info.last_block - info.first_block
+        found = (self._alive.get((info.epoch, offset))
+                 for offset in range(first, last + 1))
+        return [block for block in found if block is not None]
+
+    def _slice(self, info: SegmentInfo, first: int,
+               last: int) -> List[Block]:
+        """Offsets ``first..last`` of ``info``'s segment: from the LRU,
+        else from live blocks when every one asked for is alive, else by
+        decoding the segment."""
+        resident = self._resident.get(info.epoch)
+        if resident is None or resident[0] is not info:
+            alive = self.live_blocks(info, first, last)
+            if len(alive) == last - first + 1:
+                return alive
+        return self._load(info)[first:last + 1]
+
     def block(self, number: int) -> Optional[Block]:
         info = self.store.segment_for_block(number)
         if info is None:
             return None
-        return self._load(info.epoch)[number - info.first_block]
+        offset = number - info.first_block
+        return self._slice(info, offset, offset)[0]
 
     @fast_path(reference="_iter_range_unbounded", toggle="bounded")
     def iter_range(self, from_block: Optional[int] = None,
@@ -521,10 +581,9 @@ class SegmentReader:
                 break
             if info.last_block < low:
                 continue
-            blocks = self._load(info.epoch)
             first = max(low, info.first_block) - info.first_block
             last = min(high, info.last_block) - info.first_block
-            yield from blocks[first:last + 1]
+            yield from self._slice(info, first, last)
 
     def _iter_range_unbounded(self, from_block: Optional[int],
                               to_block: Optional[int],
@@ -536,7 +595,7 @@ class SegmentReader:
                 break
             if from_block is not None and info.last_block < from_block:
                 continue
-            for block in self._load(info.epoch):
+            for block in self._load(info):
                 if from_block is not None \
                         and block.number < from_block:
                     continue
@@ -645,10 +704,12 @@ class SpillingBlockchain(Blockchain):
         Detection prices every sandwich and liquidation from its
         receipts, so this runs once per detected attack on a spilled
         chain.  Each non-resident segment is screened by bisecting its
-        locator keys (:meth:`SegmentStore.holds_tx_key`); only a
-        candidate segment is loaded (through the reader's LRU) and
-        confirmed by full-hash compare — a 64-bit prefix collision just
-        moves on to the next candidate.
+        locator keys (:meth:`SegmentStore.holds_tx_key`); a candidate
+        segment's live blocks are searched first (a detection chunk
+        holds the blocks it fetched, which may be only part of a
+        segment), and only then is it read through the reader; a match
+        is confirmed by full-hash compare — a 64-bit prefix collision
+        just moves on to the next candidate.
         """
         located = super().locate_transaction(tx_hash)
         if located is not None:
@@ -662,8 +723,11 @@ class SpillingBlockchain(Blockchain):
                 continue
             if not self.store.holds_tx_key(info.epoch, key):
                 continue
-            for block in self.reader.iter_range(info.first_block,
-                                                info.last_block):
+            candidates = itertools.chain(
+                self.reader.live_blocks(info),
+                self.reader.iter_range(info.first_block,
+                                       info.last_block))
+            for block in candidates:
                 for position, tx in enumerate(block.transactions):
                     if tx.hash == tx_hash:
                         return block, position

@@ -122,10 +122,16 @@ class ChunkRunner:
         lookups, one ``get_logs`` — and injected faults, retries, and
         breaker state are all keyed to that sequence.  The fused pass
         replays it exactly (the two extra ``iter_blocks`` fetches are
-        issued and discarded; under the chain index they are O(range)
-        slices, not rescans), so the rows *and* the resilience ledger —
+        issued and discarded), so the rows *and* the resilience ledger —
         the ``DataQualityReport`` — stay bit-identical to the pre-fusion
-        pipeline under any fault plan.
+        pipeline under any fault plan.  The replays are cheap on every
+        surface: under the chain index they are O(range) slices, and on
+        a spilled chain the blocks of the first fetch are held until
+        the chunk ends, so the replays, ``get_logs`` and every receipt
+        lookup resolve to those live objects through the segment
+        reader's weak map — each spilled segment is decoded once per
+        chunk, with no extra residency (the first fetch already
+        materialized the list the scan walks).
         """
         # Imported here, not at module top: repro.core imports the
         # engine (pipeline → executors/runner), so the runner reaches
@@ -146,16 +152,19 @@ class ChunkRunner:
             arbitrage = ArbitrageVisitor(self.prices)
             liquidation = LiquidationVisitor(self.prices)
             scan = BlockScan([sandwich, arbitrage, liquidation])
+            # Held until the chunk ends, not just for the scan: while
+            # these blocks live, every later read of the range resolves
+            # to them instead of decoding spilled segments again.
+            blocks = node.iter_blocks(lo, hi)
             if index is not None:
                 # Bucket from the shared postings lists: the fetched
                 # blocks are the chain's own sealed objects, so the
                 # index coordinates address them exactly, and reading
                 # the index issues no archive ops — the transport
                 # sequence below is unchanged.
-                scan.scan_views(views_from_index(
-                    index, list(node.iter_blocks(lo, hi))))
+                scan.scan_views(views_from_index(index, list(blocks)))
             else:
-                scan.scan(node.iter_blocks(lo, hi))
+                scan.scan(blocks)
             sandwiches = sandwich.finalize(node)
             # Replay the arbitrage and liquidation scans' ranged
             # fetches (results discarded — the single pass above

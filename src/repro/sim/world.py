@@ -33,6 +33,7 @@ from repro.agents.searcher import (
     CHANNEL_PUBLIC,
     GroundTruth,
     MarketView,
+    ProbeCache,
     Searcher,
     Submission,
 )
@@ -321,6 +322,10 @@ class World:
             self.rng, organic_gwei=config.organic_gas_gwei,
             pga_multiplier=config.pga_gas_multiplier)
         self._scale_by_month: Dict[int, float] = {}
+        #: cross-block probe results shared by every scan of this world;
+        #: never sealed (every hit is exact, so a restored world starting
+        #: cold computes the same results).
+        self.probe_cache = ProbeCache()
         #: chunks already sealed for the growing datasets, reused by
         #: every later seal, plus the per-dataset entry counts they
         #: cover (the version counters of the incremental seal).
@@ -464,7 +469,8 @@ class World:
             competition=competition,
             liquidatable_by_pool=liquidatable,
             bundle_rush=self.rng.random() < 0.25,
-            memo={} if self.fast_paths else None)
+            memo={} if self.fast_paths else None,
+            probe_cache=self.probe_cache)
         flashbots_live = target >= self.flashbots_launch_block
         for searcher in active:
             rate = searcher.attempt_rate
@@ -588,7 +594,8 @@ class World:
             fees=fees, rng=self.rng, lending_pools=self.lending_pools,
             flash_provider=self.flash_provider,
             competition=competition,
-            memo={} if self.fast_paths else None)
+            memo={} if self.fast_paths else None,
+            probe_cache=self.probe_cache)
         sequences: List[tuple] = []
         for submission in searcher.scan(view):
             if submission.channel != CHANNEL_PRIVATE or \

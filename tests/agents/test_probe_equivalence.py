@@ -11,18 +11,20 @@ for every candidate route in both orientations.
 
 import random
 
-import repro.agents.searcher as searcher_mod
 from repro.agents.fees import FeeModel
 from repro.agents.searcher import (
     ArbitrageSearcher,
     ChannelPolicy,
     MarketView,
+    ProbeCache,
 )
 from repro.chain.state import WorldState
 from repro.chain.types import ether, gwei
 from repro.dex.registry import CURVE, SUSHISWAP, UNISWAP_V2, \
     ExchangeRegistry
 from repro.lending.oracle import PRICE_SCALE, PriceOracle
+from repro.sim import ScenarioConfig, build_paper_scenario
+from repro.sim.scenario import restore_paper_scenario
 
 
 def _market():
@@ -43,12 +45,13 @@ def _market():
     return state, registry, oracle
 
 
-def _view(state, registry, oracle, memo):
+def _view(state, registry, oracle, memo, probe_cache=None):
     return MarketView(state=state, registry=registry, oracle=oracle,
                       pending=[], block_number=100,
                       fees=FeeModel(base_fee=0, london_active=False,
                                     prevailing=gwei(50)),
-                      rng=random.Random(7), memo=memo)
+                      rng=random.Random(7), memo=memo,
+                      probe_cache=probe_cache)
 
 
 def test_probe_cycle_matches_reference():
@@ -56,10 +59,9 @@ def test_probe_cycle_matches_reference():
     searcher = ArbitrageSearcher("probe-eq", ChannelPolicy(),
                                  min_profit_wei=ether(0.01))
     state.mint_token("WETH", searcher.address, ether(1_000))
-    # The cross-view probe cache is keyed by exact reserves, so a hit
-    # is exact — but start cold anyway so this test stands alone.
-    searcher_mod._PROBE_CACHE.clear()
-    fast_view = _view(state, registry, oracle, memo={})
+    probes = ProbeCache()
+    fast_view = _view(state, registry, oracle, memo={},
+                      probe_cache=probes)
     ref_view = _view(state, registry, oracle, memo=None)
     routes = searcher._triangle_candidates(fast_view)
     assert routes, "market must offer probe candidates"
@@ -67,6 +69,14 @@ def test_probe_cycle_matches_reference():
         fast = searcher._probe_cycle(fast_view, route)
         ref = searcher._probe_cycle(ref_view, route)
         assert fast == ref, f"probe ladder diverged on {route}"
+    # A fresh view of the same market answers from the cross-block
+    # cache (its per-view memo is empty) — and still matches.
+    next_view = _view(state, registry, oracle, memo={},
+                      probe_cache=probes)
+    for route in routes:
+        assert searcher._probe_cycle(next_view, route) == \
+            searcher._probe_cycle(ref_view, route)
+    assert probes.hits == len(routes)
     # At least one orientation is profitable in this depegged market;
     # equality above must not be vacuous None == None everywhere.
     assert any(searcher._probe_cycle(fast_view, route) is not None
@@ -93,3 +103,33 @@ def test_probe_cycle_memo_none_routes_to_reference(monkeypatch):
     route = searcher._triangle_candidates(view)[0]
     searcher._probe_cycle(view, route)
     assert calls == [route]
+
+
+def test_each_world_owns_its_probe_cache(monkeypatch):
+    """Two identical worlds run back to back in one process do the same
+    probe work: each starts with an empty cache of its own and sees the
+    same hits, so a second in-process run is no faster than the first.
+    A world restored from a seal starts cold too — the cache is never
+    sealed."""
+    evaluations = []
+    original = ArbitrageSearcher._eval_hops
+
+    def counted(hops, amount_in):
+        evaluations.append(amount_in)
+        return original(hops, amount_in)
+
+    monkeypatch.setattr(ArbitrageSearcher, "_eval_hops",
+                        staticmethod(counted))
+    config = ScenarioConfig(blocks_per_month=6, seed=7)
+    runs = []
+    for _ in range(2):
+        world = build_paper_scenario(config)
+        assert len(world.probe_cache) == 0
+        seals = {}
+        evaluations.clear()
+        world.run(collect_seals=seals)
+        runs.append((world.probe_cache.hits, len(evaluations)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] > 0, "the scenario must exercise cache hits"
+    restored = restore_paper_scenario(config, seals[max(seals) - 1])
+    assert len(restored.probe_cache) == 0

@@ -8,6 +8,7 @@ spilling chain must serve reads bit-identically to a plain in-memory
 :class:`Blockchain` while keeping only a bounded tail resident.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -15,7 +16,7 @@ from array import array
 
 import pytest
 
-from repro import quick_study
+from repro import quick_study, run_inspector
 from repro.chain.block import BlockBuilder
 from repro.chain.intents import TokenTransferIntent
 from repro.chain.node import Blockchain
@@ -30,6 +31,7 @@ from repro.chain.segments import (
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.chain.types import address_from_label, ether, gwei
+from repro.engine.runner import ChunkRunner
 from repro.faults import FaultPlan
 
 A = address_from_label("alice")
@@ -56,6 +58,17 @@ def build_blocks(num_blocks, txs_per_block=1, state=None):
             bld.apply_transaction(tx)
         blocks.append(bld.finalize())
     return blocks
+
+
+def tx_hashes(blocks):
+    """Transaction hashes of a block run, in chain order (a block's own
+    hash does not commit to its transactions)."""
+    return [tx.hash for block in blocks for tx in block.transactions]
+
+
+#: full, partial, cross-segment, and empty ranges over a 12-block store
+READER_RANGES = [(None, None), (1, 12), (2, 11), (4, 6), (5, 8), (1, 1),
+                 (12, 12), (9, 4), (20, 30)]
 
 
 def filled_store(tmp_path, epochs=4, epoch_blocks=3):
@@ -212,15 +225,82 @@ class TestSegmentReader:
         store, _ = filled_store(tmp_path, epochs=4, epoch_blocks=3)
         fast = SegmentReader(store, max_resident=1)
         reference = SegmentReader(store, bounded=False)
-        ranges = [(None, None), (1, 12), (2, 11), (4, 6), (5, 8),
-                  (1, 1), (12, 12), (9, 4), (20, 30)]
-        for lo, hi in ranges:
+        for lo, hi in READER_RANGES:
             got = [b.hash for b in fast.iter_range(lo, hi)]
             want = [b.hash for b in reference.iter_range(lo, hi)]
             assert got == want, (lo, hi)
         # The reference never evicts; the fast path stayed bounded.
         assert len(fast.resident_epochs) <= 1
         assert len(reference.resident_epochs) == 4
+
+    def test_live_reads_match_unbounded_reference(self, tmp_path,
+                                                  monkeypatch):
+        """While a caller holds the decoded blocks, the bounded path
+        serves every range from them — reading nothing — and still
+        matches the ``bounded=False`` reference element for element."""
+        store, _ = filled_store(tmp_path, epochs=4, epoch_blocks=3)
+        fast = SegmentReader(store, max_resident=1)
+        reference = SegmentReader(store, bounded=False)
+        want = {r: [(b.number, b.hash) for b in reference.iter_range(*r)]
+                for r in READER_RANGES}
+        held = list(fast.iter_range())
+        loads = count_loads(monkeypatch, store)
+        for lo, hi in READER_RANGES:
+            got = list(fast.iter_range(lo, hi))
+            assert [(b.number, b.hash) for b in got] == want[lo, hi]
+            assert all(any(b is h for h in held) for b in got)
+        assert [fast.block(n) for n in (1, 7, 12)] == \
+            [held[0], held[6], held[11]]
+        assert loads == []
+        assert len(fast.resident_epochs) <= 1
+
+    def test_rewritten_epoch_yields_new_blocks(self, tmp_path):
+        """A rewritten epoch is read afresh even while its old blocks
+        are still referenced — whether the old segment is resident in
+        the LRU (epoch 1) or only alive elsewhere (epoch 0)."""
+        store = SegmentStore.create(str(tmp_path / "segs"))
+        state = WorldState()
+        old, new = [build_blocks(6, state=state) for _ in range(2)]
+        store.write_segment(0, old[:3])
+        store.write_segment(1, old[3:])
+        reader = SegmentReader(store, max_resident=1)
+        held = list(reader.iter_range())
+        assert tx_hashes(held) == tx_hashes(old)
+        assert reader.resident_epochs == [1]
+        store.write_segment(0, new[:3])
+        store.write_segment(1, new[3:])
+        for fresh in (reader, SegmentReader(store, bounded=False)):
+            assert tx_hashes([fresh.block(5), fresh.block(2)]) == \
+                tx_hashes([new[4], new[1]])
+            assert tx_hashes(fresh.iter_range()) == tx_hashes(new)
+
+    def test_tampered_segment_raises_once_nothing_holds_it(
+            self, tmp_path):
+        """A live hit reads no bytes; once the blocks are gone the
+        segment is decoded again, through every integrity check."""
+        store, _ = filled_store(tmp_path, epochs=3)
+        reader = SegmentReader(store, max_resident=1)
+        held = list(reader.iter_range(1, 3))
+        list(reader.iter_range(4, 6))  # evicts epoch 0 from the LRU
+        path = os.path.join(store.root, store.segments[0].filename)
+        with open(path, "wb") as handle:
+            handle.write(b"not a pickle at all")
+        assert [b.number for b in reader.iter_range(1, 3)] == [1, 2, 3]
+        del held
+        gc.collect()
+        with pytest.raises(SegmentIntegrityError):
+            list(reader.iter_range(1, 3))
+
+    def test_pickled_reader_reads_the_same_blocks(self, tmp_path):
+        """The weak map is process-local and left out of a pickle
+        (spilled chains without a background writer ship to spawned
+        workers); the copy re-reads the store."""
+        store, blocks = filled_store(tmp_path)
+        reader = SegmentReader(store, max_resident=1)
+        held = list(reader.iter_range())
+        copy = pickle.loads(pickle.dumps(reader))
+        assert tx_hashes(copy.iter_range()) == tx_hashes(held) == \
+            tx_hashes(blocks)
 
     def test_block_outside_store(self, tmp_path):
         store, _ = filled_store(tmp_path)
@@ -472,3 +552,73 @@ class TestSpilledDetectionUnderFaults:
         assert rows == in_memory.dataset.to_rows()
         assert spilled.dataset.quality.to_dict() == \
             in_memory.dataset.quality.to_dict()
+
+
+class TestSpilledDetectionDecodesOnce:
+    """A detection chunk holds the blocks of its first fetch until it
+    ends, so every later read of its range — the two replayed fetches,
+    ``get_logs`` and every receipt lookup — resolves to those live
+    blocks through the reader's weak map: each spilled segment is
+    decoded at most once per chunk, and the output is unchanged."""
+
+    BPM = 12
+    #: (fault profile, chunk size): one chunk and a chunk size that
+    #: straddles epoch (month) boundaries, clean and with retries
+    CASES = [(None, None), (None, 7), (None, 30), ("transient", None),
+             ("transient", 30)]
+
+    @pytest.fixture(scope="class")
+    def twins(self, tmp_path_factory):
+        segs = tmp_path_factory.mktemp("decode-once") / "segs"
+        spilled = quick_study(blocks_per_month=self.BPM, segment_dir=segs,
+                              max_resident_epochs=1)
+        return spilled.result, quick_study(
+            blocks_per_month=self.BPM).result
+
+    def detect(self, result, profile, chunk_size):
+        plan = None if profile is None else FaultPlan.from_profile(
+            profile, 5, 1, self.BPM * 23)
+        return run_inspector(result, fault_plan=plan,
+                             chunk_size=chunk_size)
+
+    @staticmethod
+    def spilled_epochs(chain, lo=None, hi=None):
+        """Spilled epochs overlapping ``[lo, hi]`` (default: all)."""
+        return {info.epoch for info in chain.store.segments
+                if info.first_block < chain.blocks[0].number
+                and (hi is None or info.first_block <= hi)
+                and (lo is None or info.last_block >= lo)}
+
+    @pytest.mark.parametrize("profile,chunk_size", CASES)
+    def test_each_chunk_decodes_its_segments_once(
+            self, twins, monkeypatch, profile, chunk_size):
+        spilled, in_memory = twins
+        chain = spilled.blockchain
+        loads = count_loads(monkeypatch, chain.store)
+        per_chunk = []
+        original = ChunkRunner.run_chunk
+
+        def run_chunk(runner, chunk):
+            start = len(loads)
+            outcome = original(runner, chunk)
+            per_chunk.append((chunk, loads[start:]))
+            return outcome
+
+        monkeypatch.setattr(ChunkRunner, "run_chunk", run_chunk)
+        dataset = self.detect(spilled, profile, chunk_size)
+        everything = self.spilled_epochs(chain)
+        assert len(everything) >= 10
+        if chunk_size is None:
+            assert len(per_chunk) == 1
+            assert sorted(loads) == sorted(everything)
+        else:
+            assert len(per_chunk) > 1
+            for (lo, hi), decoded in per_chunk:
+                assert len(decoded) == len(set(decoded)), (lo, hi)
+                assert set(decoded) <= self.spilled_epochs(chain, lo, hi)
+            assert set(loads) == everything
+        if profile is not None:
+            assert dataset.quality.source("archive").retries > 0
+        twin = self.detect(in_memory, profile, chunk_size)
+        assert dataset.to_rows() == twin.to_rows()
+        assert dataset.quality.to_dict() == twin.quality.to_dict()
