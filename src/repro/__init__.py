@@ -95,7 +95,7 @@ def run_inspector(result: SimulationResult,
     arguments; its ``fault_profile``/``fault_seed`` build the fault plan
     when ``fault_plan`` is not given explicitly.
     """
-    config = resolve_config(config, warn=False, chunk_size=chunk_size,
+    config = resolve_config(config, chunk_size=chunk_size,
                             checkpoint=checkpoint, resume=resume,
                             workers=workers, cache_dir=cache_dir,
                             cache_key=cache_key)
@@ -139,7 +139,7 @@ def follow_inspector(result: SimulationResult,
     from repro.stream import StreamEngine
 
     config = resolve_config(
-        config, warn=False, checkpoint=checkpoint, resume=resume,
+        config, checkpoint=checkpoint, resume=resume,
         confirm_depth=None if confirm_depth == 3 else confirm_depth)
     depth = 3 if config.confirm_depth is None else config.confirm_depth
     if fault_plan is None:
@@ -225,6 +225,7 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
     finally:
         if flat_gc is not None:
             flat_gc.uninstall()
+    world.close_io()
     dataset = run_inspector(result, fault_plan=fault_plan,
                             chunk_size=chunk_size, checkpoint=checkpoint,
                             resume=resume, workers=workers,

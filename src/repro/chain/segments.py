@@ -47,7 +47,7 @@ from repro.markers import fast_path
 #: On-disk layout version.  Bumped whenever the manifest schema or the
 #: segment pickle layout changes; stores written by other versions are
 #: rejected with a clear message, not a pickle error.
-SEGMENT_FORMAT = 1
+SEGMENT_FORMAT = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -125,13 +125,15 @@ def _locator_keys(blocks: Sequence[Block]) -> "array[int]":
 
 
 def _fingerprint_blocks(blocks: Sequence[Block]) -> str:
-    """Content fingerprint of a block run (same scheme as the bench
-    world fingerprint: number, hash, and transaction count per block)."""
+    """Content fingerprint of a block run: number, hash, and every
+    transaction hash, in order, per block.  ``Block.hash`` commits only
+    to the transaction *count*, so the transaction hashes are what make
+    a segment with swapped transactions fail the integrity check."""
     digest = hashlib.sha256()
     for block in blocks:
-        digest.update(
-            f"{block.number}:{block.hash}:"
-            f"{len(block.transactions)};".encode())
+        digest.update(f"{block.number}:{block.hash}:".encode())
+        digest.update(",".join(block.tx_hashes).encode())
+        digest.update(b";")
     return digest.hexdigest()
 
 

@@ -25,8 +25,7 @@ five-month crawl had to be:
   coverage, retries, breaker trips, gap ranges, and the count of
   ``unknown``/``unobserved`` labels the joins were forced to emit.
 
-The execution contract can be passed as loose keyword arguments (the
-historical surface) or as one frozen :class:`RunConfig` — the CLI
+The execution contract is one frozen :class:`RunConfig` — the CLI
 builds a config once and threads it through unchanged.
 """
 
@@ -42,7 +41,7 @@ from repro.core.datasets import MevDataset
 from repro.core.flashbots_join import annotate_flashbots
 from repro.core.private_inference import annotate_privacy
 from repro.core.profit import PriceService
-from repro.engine.config import RunConfig, resolve_config
+from repro.engine.config import RunConfig
 from repro.engine.executors import ChunkStats, Executor, make_executor
 from repro.engine.merge import (
     chunk_key,
@@ -212,36 +211,20 @@ class MevInspector:
 
     # The run -------------------------------------------------------------
 
-    def run(self, from_block: Optional[int] = None,
-            to_block: Optional[int] = None,
-            chunk_size: Optional[int] = None,
-            checkpoint: Union[CheckpointStore, str, Path, None] = None,
-            resume: bool = False,
-            workers: int = 1,
-            cache_dir: Union[str, Path, None] = None,
-            cache_key: Optional[str] = None,
-            config: Optional[RunConfig] = None) -> MevDataset:
+    def run(self, config: Optional[RunConfig] = None) -> MevDataset:
         """Detect all MEV in the range and apply every join.
 
-        With ``chunk_size`` the range is processed in that many blocks
-        at a time; with ``checkpoint`` each completed chunk is persisted
-        and ``resume=True`` continues a crashed run from where it
-        stopped.  ``workers=N`` fans chunks out over N worker processes
-        and ``cache_dir`` memoizes per-chunk artifacts on disk — both
-        are guaranteed bit-identical to the serial, uncached run.
-
-        The canonical call passes one :class:`RunConfig` (see
-        :mod:`repro.engine.config`); the loose keyword arguments are a
-        deprecated compatibility layer folded into a config by
-        :func:`~repro.engine.config.resolve_config`, never mixed with
-        an explicit ``config=``.
+        ``config`` (see :mod:`repro.engine.config`) carries the whole
+        execution contract; ``None`` means ``RunConfig()``.  With
+        ``chunk_size`` the range is processed in that many blocks at a
+        time; with ``checkpoint`` each completed chunk is persisted and
+        ``resume=True`` continues a crashed run from where it stopped.
+        ``workers=N`` fans chunks out over N worker processes and
+        ``cache_dir`` memoizes per-chunk artifacts on disk — both are
+        guaranteed bit-identical to the serial, uncached run.
         """
-        config = resolve_config(
-            config, from_block=from_block, to_block=to_block,
-            chunk_size=chunk_size, checkpoint=checkpoint,
-            resume=resume, workers=workers,
-            cache_dir=cache_dir, cache_key=cache_key)
-
+        if config is None:
+            config = RunConfig()
         store = self._store(config.checkpoint)
         bounds = self._resolve_range(config.from_block, config.to_block)
         if bounds is None:

@@ -24,7 +24,6 @@ identical :class:`~repro.reliability.quality.DataQualityReport` —
 from repro.engine.config import (
     CACHE_VERSION,
     RunConfig,
-    config_from_kwargs,
     ensure_unmixed,
     resolve_config,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SerialExecutor",
     "SupportsRunChunk",
     "chunk_key",
-    "config_from_kwargs",
     "effective_workers",
     "ensure_unmixed",
     "failed_ranges",

@@ -18,10 +18,11 @@ configure an execution surface — ``MevInspector.run``,
     dataset = MevInspector(node, prices, api, observer).run(
         config=config)
 
-The loose keyword arguments on ``MevInspector.run`` remain accepted as
-a thin compatibility layer: :func:`resolve_config` folds them into a
-``RunConfig`` and emits a :class:`DeprecationWarning`.  A config and
-non-default loose kwargs must never be mixed — the run takes exactly
+``MevInspector.run`` takes nothing but a ``RunConfig``.  The
+convenience wrappers (``run_inspector``, ``follow_inspector``,
+``quick_study``) keep their documented keyword signatures and fold
+them into a config through :func:`resolve_config`; a config and
+non-default keyword values must never be mixed — the run takes exactly
 one source of truth, and :func:`ensure_unmixed` rejects the ambiguity
 with a :class:`ValueError`.
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -43,7 +43,7 @@ from typing import Any, Dict, Optional, Union
 from repro.reliability.checkpoint import CheckpointStore
 
 #: Bumped whenever the cached chunk-artifact layout changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,6 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def config_from_kwargs(**overrides: Any) -> RunConfig:
-    """A :class:`RunConfig` from the historical loose-kwarg surface."""
-    return RunConfig(**overrides)
-
-
 def ensure_unmixed(config: Optional[RunConfig],
                    **loose: Any) -> None:
     """Reject calls that pass both a config and loose kwargs.
@@ -133,31 +128,13 @@ def ensure_unmixed(config: Optional[RunConfig],
             f"both (loose values given for: {', '.join(clashes)})")
 
 
-def resolve_config(config: Optional[RunConfig], warn: bool = True,
-                   stacklevel: int = 3, **loose: Any) -> RunConfig:
-    """The single funnel from any call surface to one ``RunConfig``.
+def resolve_config(config: Optional[RunConfig],
+                   **loose: Any) -> RunConfig:
+    """One ``RunConfig`` from a wrapper's ``config`` and keywords.
 
-    Every execution entry point routes here: an explicit ``config``
-    passes through untouched (after :func:`ensure_unmixed` rejects any
-    clashing loose values); otherwise the loose kwargs build the
-    config.  With ``warn=True`` a non-default loose kwarg draws a
-    :class:`DeprecationWarning` — the loose surface is the historical
-    compat layer, and ``RunConfig`` (see the module docstring) is the
-    canonical construction.  Internal wrappers whose own signatures
-    are the supported convenience surface pass ``warn=False``.
+    An explicit ``config`` passes through untouched (after
+    :func:`ensure_unmixed` rejects any clashing keyword values);
+    otherwise the keywords build the config.
     """
     ensure_unmixed(config, **loose)
-    if config is not None:
-        return config
-    if warn:
-        defaults = {f.name: f.default for f in fields(RunConfig)}
-        given = [name for name, value in sorted(loose.items())
-                 if value != defaults.get(name)]
-        if given:
-            warnings.warn(
-                "loose keyword arguments "
-                f"({', '.join(given)}) are deprecated; pass "
-                "config=RunConfig(...) instead (see "
-                "repro.engine.config for the canonical construction)",
-                DeprecationWarning, stacklevel=stacklevel)
-    return RunConfig(**loose)
+    return config if config is not None else RunConfig(**loose)

@@ -113,25 +113,15 @@ class ChunkRunner:
         """One chunk's detections as a checkpointable artifact.
 
         Single pass: one ranged block read feeds all four heuristics
-        through :class:`~repro.core.scan.BlockScan`, instead of the four
-        independent range scans the heuristics historically made.
-
-        **Transport compatibility.**  The historical per-heuristic scans
-        produced a fixed archive-op sequence per chunk — three
-        ``iter_blocks`` fetches, the sandwich/liquidation receipt
-        lookups, one ``get_logs`` — and injected faults, retries, and
-        breaker state are all keyed to that sequence.  The fused pass
-        replays it exactly (the two extra ``iter_blocks`` fetches are
-        issued and discarded), so the rows *and* the resilience ledger —
-        the ``DataQualityReport`` — stay bit-identical to the pre-fusion
-        pipeline under any fault plan.  The replays are cheap on every
-        surface: under the chain index they are O(range) slices, and on
-        a spilled chain the blocks of the first fetch are held until
-        the chunk ends, so the replays, ``get_logs`` and every receipt
-        lookup resolve to those live objects through the segment
-        reader's weak map — each spilled segment is decoded once per
-        chunk, with no extra residency (the first fetch already
-        materialized the list the scan walks).
+        through :class:`~repro.core.scan.BlockScan`.  The archive ops a
+        chunk issues are exactly what the scan needs: one
+        ``iter_blocks(lo, hi)``, the sandwich/liquidation receipt
+        lookups, and one ``get_logs(FlashLoanEvent, lo, hi)``; the
+        ``requests`` counter in :class:`ChunkStats` counts these and
+        nothing else.  On a spilled chain the fetched blocks are held
+        until the chunk ends, so ``get_logs`` and every receipt lookup
+        resolve to those live objects through the segment reader's weak
+        map — each spilled segment is decoded once per chunk.
         """
         # Imported here, not at module top: repro.core imports the
         # engine (pipeline → executors/runner), so the runner reaches
@@ -160,19 +150,12 @@ class ChunkRunner:
                 # Bucket from the shared postings lists: the fetched
                 # blocks are the chain's own sealed objects, so the
                 # index coordinates address them exactly, and reading
-                # the index issues no archive ops — the transport
-                # sequence below is unchanged.
+                # the index issues no archive ops.
                 scan.scan_views(views_from_index(index, list(blocks)))
             else:
                 scan.scan(blocks)
-            sandwiches = sandwich.finalize(node)
-            # Replay the arbitrage and liquidation scans' ranged
-            # fetches (results discarded — the single pass above
-            # already consumed the data they would have returned).
-            node.iter_blocks(lo, hi)
-            node.iter_blocks(lo, hi)
             partial = MevDataset(
-                sandwiches=sandwiches,
+                sandwiches=sandwich.finalize(node),
                 arbitrages=arbitrage.finalize(),
                 liquidations=liquidation.finalize(node),
             )

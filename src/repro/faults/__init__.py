@@ -35,6 +35,7 @@ from repro.faults.plan import (
     FaultSpec,
     FeedDecision,
     FeedFaultSpec,
+    render_key,
 )
 from repro.faults.transports import (
     FaultyArchiveNode,
@@ -61,4 +62,5 @@ __all__ = [
     "TransportError",
     "TransportTimeout",
     "fork_block",
+    "render_key",
 ]

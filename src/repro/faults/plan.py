@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 BlockRange = Tuple[int, int]
+
+#: an operation's positional arguments, e.g. ``(123,)`` for a block
+#: number or ``(SwapEvent, 10, 20)`` for a typed log query
+OpKey = Tuple[Any, ...]
 
 #: injected error kinds, in the order specs carve up their probability
 KIND_ERROR = "error"
@@ -133,6 +137,25 @@ class FeedDecision:
 
 #: the clean-announcement decision, shared to avoid allocation
 NO_FEED_FAULT = FeedDecision()
+
+
+def render_key(key: OpKey) -> str:
+    """The stable string form of an operation key.
+
+    Both sides of a source render keys here: the fault gates feed it to
+    :meth:`FaultPlan.decide` and the retry layer seeds its jitter with
+    it, so the format is part of the replay contract and is frozen: no
+    arguments → ``"-"``; a leading type renders as ``"Name:rest"``
+    (event-log queries); everything else joins with ``"-"``
+    (``(10, 20)`` → ``"10-20"``).
+    """
+    if not key:
+        return "-"
+    parts = [part.__name__ if isinstance(part, type) else str(part)
+             for part in key]
+    if isinstance(key[0], type) and len(parts) > 1:
+        return f"{parts[0]}:{'-'.join(parts[1:])}"
+    return "-".join(parts)
 
 
 def _normalise_ranges(ranges: Iterable[BlockRange]) -> \

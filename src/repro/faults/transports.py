@@ -43,6 +43,7 @@ from repro.faults.plan import (
     KIND_TIMEOUT,
     BlockRange,
     FaultPlan,
+    render_key,
 )
 from repro.flashbots.api import ApiBlock, ApiTransaction, FlashbotsBlocksApi
 
@@ -62,8 +63,10 @@ class _FaultGate:
         self.source = source
         self._attempts: Dict[Tuple[str, str], int] = {}
 
-    def check(self, op: str, key: str) -> None:
-        """Raise the planned fault for this attempt, or pass."""
+    def check(self, op: str, *args: object) -> None:
+        """Raise the planned fault for this attempt of ``op(*args)``,
+        or pass."""
+        key = render_key(args)
         decision = self.plan.decide(self.source, op, key)
         if not decision.faulty:
             return
@@ -103,21 +106,21 @@ class FaultyArchiveNode:
     # Block-level queries -----------------------------------------------------
 
     def latest_block_number(self) -> Optional[int]:
-        self._gate.check("latest_block_number", "-")
+        self._gate.check("latest_block_number")
         return self.inner.latest_block_number()
 
     def earliest_block_number(self) -> Optional[int]:
-        self._gate.check("earliest_block_number", "-")
+        self._gate.check("earliest_block_number")
         return self.inner.earliest_block_number()
 
     def get_block(self, number: int) -> Optional[Block]:
-        self._gate.check("get_block", str(number))
+        self._gate.check("get_block", number)
         self._check_blackout(number, number)
         return self.inner.get_block(number)
 
     def iter_blocks(self, from_block: Optional[int] = None,
                     to_block: Optional[int] = None) -> List[Block]:
-        self._gate.check("iter_blocks", f"{from_block}-{to_block}")
+        self._gate.check("iter_blocks", from_block, to_block)
         self._check_blackout(from_block, to_block)
         return list(self.inner.iter_blocks(from_block, to_block))
 
@@ -136,14 +139,13 @@ class FaultyArchiveNode:
     def get_logs(self, event_type: Type[E],
                  from_block: Optional[int] = None,
                  to_block: Optional[int] = None) -> List[E]:
-        self._gate.check("get_logs",
-                         f"{event_type.__name__}:{from_block}-{to_block}")
+        self._gate.check("get_logs", event_type, from_block, to_block)
         self._check_blackout(from_block, to_block)
         return self.inner.get_logs(event_type, from_block, to_block)
 
     def iter_receipts(self, from_block: Optional[int] = None,
                       to_block: Optional[int] = None) -> List[Receipt]:
-        self._gate.check("iter_receipts", f"{from_block}-{to_block}")
+        self._gate.check("iter_receipts", from_block, to_block)
         self._check_blackout(from_block, to_block)
         return list(self.inner.iter_receipts(from_block, to_block))
 
@@ -266,23 +268,23 @@ class FaultyFlashbotsApi:
     # Public dataset queries ---------------------------------------------------
 
     def all_blocks(self) -> List[ApiBlock]:
-        self._gate.check("all_blocks", "-")
+        self._gate.check("all_blocks")
         return [block for block in self.inner.all_blocks()
                 if not self.plan.in_flashbots_gap(block.block_number)]
 
     def blocks_until(self, block_number: int) -> List[ApiBlock]:
-        self._gate.check("blocks_until", str(block_number))
+        self._gate.check("blocks_until", block_number)
         return [block for block in self.inner.blocks_until(block_number)
                 if not self.plan.in_flashbots_gap(block.block_number)]
 
     def get_block(self, block_number: int) -> Optional[ApiBlock]:
-        self._gate.check("get_block", str(block_number))
+        self._gate.check("get_block", block_number)
         if self.plan.in_flashbots_gap(block_number):
             return None
         return self.inner.get_block(block_number)
 
     def is_flashbots_block(self, block_number: int) -> bool:
-        self._gate.check("is_flashbots_block", str(block_number))
+        self._gate.check("is_flashbots_block", block_number)
         if self.plan.in_flashbots_gap(block_number):
             return False
         return self.inner.is_flashbots_block(block_number)
@@ -300,14 +302,14 @@ class FaultyFlashbotsApi:
         return self.inner.tx_label(tx_hash)
 
     def flashbots_tx_hashes(self) -> Set[Hash32]:
-        self._gate.check("flashbots_tx_hashes", "-")
+        self._gate.check("flashbots_tx_hashes")
         return {tx_hash for tx_hash in self.inner.flashbots_tx_hashes()
                 if not self._gapped_tx(tx_hash)}
 
     def block_count(self) -> int:
-        self._gate.check("block_count", "-")
+        self._gate.check("block_count")
         return len(self.all_blocks())
 
     def bundle_count(self) -> int:
-        self._gate.check("bundle_count", "-")
+        self._gate.check("bundle_count")
         return sum(block.bundle_count for block in self.all_blocks())

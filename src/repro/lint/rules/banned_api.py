@@ -3,10 +3,15 @@
 A deprecation cycle only ends when the old spelling cannot quietly
 reappear.  ``shield_sources`` (the PR 2 name for
 :func:`repro.reliability.shield`) warned for two releases and was
-deleted in 1.5.0; this rule flags any definition, import, or use of a
-banned identifier so a rebase or copy-paste cannot resurrect it.  The
-banned list is configuration (``[tool.repro-lint.rules.R007]
-banned``), so future removals get the same guard by adding one string.
+deleted in 1.5.0.  ``config_from_kwargs`` (the loose-kwarg run
+surface) and the ``DataSource`` adapter layer (``ReliableSource`` and
+the three ``*Source`` adapters) followed once ``RunConfig`` became the
+only way to configure ``MevInspector.run`` and the ``Reliable*``
+facades called their sources directly.  This rule flags any
+definition, import, or use of a banned identifier so a rebase or
+copy-paste cannot resurrect it.  The banned list is configuration
+(``[tool.repro-lint.rules.R007] banned``), so future removals get the
+same guard by adding one string.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
-DEFAULT_BANNED = ("shield_sources",)
+DEFAULT_BANNED = ("shield_sources", "config_from_kwargs", "ReliableSource",
+                  "ArchiveNodeSource", "MempoolObserverSource",
+                  "FlashbotsApiSource")
 
 
 @register

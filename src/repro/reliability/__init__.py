@@ -14,12 +14,14 @@ survive it:
 * :class:`DataQualityReport` — per-source coverage, retries, breaker
   trips and gap ranges, attached to every :class:`MevDataset` so
   degraded runs are *visibly* degraded, never silently wrong;
-* ``Reliable*`` source wrappers — the retry/breaker plumbing applied to
-  the archive node, mempool observer and Flashbots API surfaces;
-* :class:`DataSource` — the unified protocol (``name``, ``fetch(op,
-  key)``, ``coverage_gaps()``) all three sources adapt to, so the armor
-  above composes against one surface via :class:`ReliableSource`
-  instead of three ad-hoc ones.
+* ``Reliable*`` facades — the typed archive-node, mempool-observer and
+  Flashbots-API surfaces, each calling its inner source directly
+  through its own :class:`ResilientCaller` (retry + breaker + stats);
+  :func:`shield` wraps all three at once.
+
+Operation keys render through :func:`repro.faults.plan.render_key`, the
+same renderer the fault gates use, so an injected fault and the retry
+that absorbs it agree on which operation they are about.
 """
 
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
@@ -30,42 +32,26 @@ from repro.reliability.circuit import (
     STATE_HALF_OPEN,
     STATE_OPEN,
 )
-from repro.reliability.datasource import (
-    ArchiveNodeSource,
-    DataSource,
-    FlashbotsApiSource,
-    MempoolObserverSource,
-    OpKey,
-    ReliableSource,
-    ResilientCaller,
-    SourceStats,
-    adapt,
-    render_key,
-)
 from repro.reliability.quality import DataQualityReport, SourceQuality
 from repro.reliability.retry import RetryExhaustedError, RetryPolicy
 from repro.reliability.sources import (
     ReliableArchiveNode,
     ReliableFlashbotsApi,
     ReliableMempoolObserver,
+    ResilientCaller,
+    SourceStats,
     shield,
 )
 
 __all__ = [
-    "ArchiveNodeSource",
     "CheckpointError",
     "CheckpointStore",
     "CircuitBreaker",
     "CircuitOpenError",
     "DataQualityReport",
-    "DataSource",
-    "FlashbotsApiSource",
-    "MempoolObserverSource",
-    "OpKey",
     "ReliableArchiveNode",
     "ReliableFlashbotsApi",
     "ReliableMempoolObserver",
-    "ReliableSource",
     "ResilientCaller",
     "RetryExhaustedError",
     "RetryPolicy",
@@ -74,7 +60,5 @@ __all__ = [
     "STATE_OPEN",
     "SourceQuality",
     "SourceStats",
-    "adapt",
-    "render_key",
     "shield",
 ]

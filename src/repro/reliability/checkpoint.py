@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 #: Bumped whenever the checkpoint document layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):

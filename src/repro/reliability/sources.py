@@ -1,13 +1,13 @@
-"""Typed facades applying :class:`ReliableSource` armor to the sources.
+"""Retry/breaker armor for the pipeline's three data sources.
 
-The retry/breaker/stats composition lives in one place —
-:class:`~repro.reliability.datasource.ReliableSource`, wrapped around a
-:class:`~repro.reliability.datasource.DataSource` adapter.  The classes
-here only restore the *typed* query surface the pipeline and the
-detection heuristics program against: every remote-shaped method is a
-one-line ``fetch(op, key)`` delegation, while cheap local metadata
+Each ``Reliable*`` facade restores the *typed* query surface the
+pipeline and the detection heuristics program against, and runs every
+remote-shaped method through one :class:`ResilientCaller` (retry +
+circuit breaker + stats) of its own.  The guarded call drains lazy
+results, so a transport fault surfaces inside the retry loop rather
+than later, at iteration time, in the caller.  Cheap local metadata
 (observation windows, downtime ranges, coverage queries) forwards
-directly — there is no transport to fail.
+directly: there is no transport to fail.
 
 ``shield`` wraps the pipeline's three sources at once.  (Its PR 2
 spelling lived through a two-release deprecation shim and was removed
@@ -17,26 +17,32 @@ creeping back in.)
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple, Type, TypeVar
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 from repro.chain.block import Block
 from repro.chain.events import EventLog
 from repro.chain.receipt import Receipt
 from repro.chain.transaction import Transaction
 from repro.chain.types import Hash32
+from repro.faults.errors import DataSourceError
+from repro.faults.plan import render_key
 from repro.flashbots.api import ApiBlock, ApiTransaction
 from repro.reliability.circuit import CircuitBreaker
-from repro.reliability.datasource import (
-    ArchiveNodeSource,
-    FlashbotsApiSource,
-    MempoolObserverSource,
-    ReliableSource,
-    ResilientCaller,
-    SourceStats,
-)
 from repro.reliability.retry import RetryPolicy
 
 E = TypeVar("E", bound=EventLog)
+T = TypeVar("T")
 
 BlockRange = Tuple[int, int]
 
@@ -50,64 +56,127 @@ __all__ = [
 ]
 
 
-class ReliableArchiveNode:
-    """Archive-node surface with retries and a circuit breaker."""
+@dataclass
+class SourceStats:
+    """Raw resilience counters for one source."""
 
-    def __init__(self, inner: object,
+    requests: int = 0
+    retries: int = 0
+    failed_attempts: int = 0
+    exhausted: int = 0
+    simulated_backoff_s: float = 0.0
+
+
+class ResilientCaller:
+    """Retry + breaker + stats around one source's operations."""
+
+    def __init__(self, source: str,
+                 retry: Optional[RetryPolicy] = None,
+                 breaker: Optional[CircuitBreaker] = None) -> None:
+        self.source = source
+        self.retry = retry or RetryPolicy()
+        self.breaker = breaker or CircuitBreaker(source)
+        self.stats = SourceStats()
+
+    def call(self, op: str, key: str, operation: Callable[[], T]) -> T:
+        """Run one operation under retry + breaker discipline."""
+        self.stats.requests += 1
+
+        def attempt() -> T:
+            self.breaker.before_call()
+            try:
+                result = operation()
+            except DataSourceError:
+                self.breaker.record_failure()
+                self.stats.failed_attempts += 1
+                raise
+            self.breaker.record_success()
+            return result
+
+        def on_retry(error: BaseException, delay: float) -> None:
+            self.stats.retries += 1
+            self.stats.simulated_backoff_s += delay
+
+        try:
+            return attempt() if self.retry.max_attempts == 1 else \
+                self.retry.call(f"{self.source}.{op}:{key}", attempt,
+                                on_retry=on_retry)
+        except Exception:
+            self.stats.exhausted += 1
+            raise
+
+    @property
+    def breaker_trips(self) -> int:
+        return self.breaker.trip_count
+
+
+class _Guarded:
+    """An inner source plus the caller that guards its remote ops."""
+
+    source = "source"
+
+    def __init__(self, inner: Any,
                  retry: Optional[RetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None) -> None:
         self.inner = inner
-        self.source = ReliableSource(ArchiveNodeSource(inner),
-                                     retry, breaker)
-        self.caller = self.source.caller
+        self.caller = ResilientCaller(self.source, retry, breaker)
+
+    def _call(self, op: str, *key: Any) -> Any:
+        """``inner.op(*key)`` under the caller; lazy results are drained
+        inside the guarded call so their faults are retried too."""
+
+        def operation() -> Any:
+            result = getattr(self.inner, op)(*key)
+            return list(result) if isinstance(result, Iterator) \
+                else result
+
+        return self.caller.call(op, render_key(key), operation)
+
+
+class ReliableArchiveNode(_Guarded):
+    """Archive-node surface with retries and a circuit breaker."""
+
+    source = "archive"
 
     # Block-level queries -----------------------------------------------------
 
     def latest_block_number(self) -> Optional[int]:
-        return self.source.fetch("latest_block_number")
+        return self._call("latest_block_number")
 
     def earliest_block_number(self) -> Optional[int]:
-        return self.source.fetch("earliest_block_number")
+        return self._call("earliest_block_number")
 
     def get_block(self, number: int) -> Optional[Block]:
-        return self.source.fetch("get_block", (number,))
+        return self._call("get_block", number)
 
     def iter_blocks(self, from_block: Optional[int] = None,
                     to_block: Optional[int] = None) -> List[Block]:
-        return self.source.fetch("iter_blocks", (from_block, to_block))
+        return self._call("iter_blocks", from_block, to_block)
 
     # Transaction-level queries -----------------------------------------------
 
     def get_transaction(self, tx_hash: Hash32) -> Optional[Transaction]:
-        return self.source.fetch("get_transaction", (tx_hash,))
+        return self._call("get_transaction", tx_hash)
 
     def get_receipt(self, tx_hash: Hash32) -> Optional[Receipt]:
-        return self.source.fetch("get_receipt", (tx_hash,))
+        return self._call("get_receipt", tx_hash)
 
     # Log queries ---------------------------------------------------------
 
     def get_logs(self, event_type: Type[E],
                  from_block: Optional[int] = None,
                  to_block: Optional[int] = None) -> List[E]:
-        return self.source.fetch("get_logs",
-                                 (event_type, from_block, to_block))
+        return self._call("get_logs", event_type, from_block, to_block)
 
     def iter_receipts(self, from_block: Optional[int] = None,
                       to_block: Optional[int] = None) -> List[Receipt]:
-        return self.source.fetch("iter_receipts",
-                                 (from_block, to_block))
+        return self._call("iter_receipts", from_block, to_block)
 
 
-class ReliableMempoolObserver:
+class ReliableMempoolObserver(_Guarded):
     """Pending-trace surface with retries and a circuit breaker."""
 
-    def __init__(self, inner: object,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
-        self.inner = inner
-        self.source = ReliableSource(MempoolObserverSource(inner),
-                                     retry, breaker)
-        self.caller = self.source.caller
+    source = "mempool"
 
     # Window / downtime metadata (local, never faulted) -------------------
 
@@ -124,10 +193,10 @@ class ReliableMempoolObserver:
     # Trace queries -------------------------------------------------------
 
     def was_observed(self, tx_hash: Hash32) -> bool:
-        return self.source.fetch("was_observed", (tx_hash,))
+        return self._call("was_observed", tx_hash)
 
     def first_seen(self, tx_hash: Hash32) -> Optional[int]:
-        return self.source.fetch("first_seen", (tx_hash,))
+        return self._call("first_seen", tx_hash)
 
     @property
     def observed_hashes(self) -> Set[Hash32]:
@@ -154,16 +223,10 @@ class ReliableMempoolObserver:
         return self.inner.observed_coverage()
 
 
-class ReliableFlashbotsApi:
+class ReliableFlashbotsApi(_Guarded):
     """Flashbots blocks-API surface with retries and a breaker."""
 
-    def __init__(self, inner: object,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
-        self.inner = inner
-        self.source = ReliableSource(FlashbotsApiSource(inner),
-                                     retry, breaker)
-        self.caller = self.source.caller
+    source = "flashbots"
 
     # Coverage (local metadata) -------------------------------------------
 
@@ -171,36 +234,36 @@ class ReliableFlashbotsApi:
         return self.inner.has_block_data(block_number)
 
     def coverage_gaps(self) -> List[BlockRange]:
-        return list(self.source.coverage_gaps())
+        return list(self.inner.coverage_gaps())
 
     # Public dataset queries ---------------------------------------------------
 
     def all_blocks(self) -> List[ApiBlock]:
-        return list(self.source.fetch("all_blocks"))
+        return list(self._call("all_blocks"))
 
     def blocks_until(self, block_number: int) -> List[ApiBlock]:
-        return list(self.source.fetch("blocks_until", (block_number,)))
+        return list(self._call("blocks_until", block_number))
 
     def get_block(self, block_number: int) -> Optional[ApiBlock]:
-        return self.source.fetch("get_block", (block_number,))
+        return self._call("get_block", block_number)
 
     def is_flashbots_block(self, block_number: int) -> bool:
-        return self.source.fetch("is_flashbots_block", (block_number,))
+        return self._call("is_flashbots_block", block_number)
 
     def is_flashbots_tx(self, tx_hash: Hash32) -> bool:
-        return self.source.fetch("is_flashbots_tx", (tx_hash,))
+        return self._call("is_flashbots_tx", tx_hash)
 
     def tx_label(self, tx_hash: Hash32) -> Optional[ApiTransaction]:
-        return self.source.fetch("tx_label", (tx_hash,))
+        return self._call("tx_label", tx_hash)
 
     def flashbots_tx_hashes(self) -> Set[Hash32]:
-        return set(self.source.fetch("flashbots_tx_hashes"))
+        return set(self._call("flashbots_tx_hashes"))
 
     def block_count(self) -> int:
-        return self.source.fetch("block_count")
+        return self._call("block_count")
 
     def bundle_count(self) -> int:
-        return self.source.fetch("bundle_count")
+        return self._call("bundle_count")
 
 
 def shield(node: object,

@@ -334,7 +334,8 @@ class World:
             "observer": 0, "truths": 0, "api": 0}
         #: overlapped spill I/O (attach_segment_store(overlap_io=True)):
         #: the writer owns a background thread; the world flushes it at
-        #: every run() exit so callers always observe durable segments.
+        #: every run() exit so callers always observe durable segments,
+        #: and close_io() stops it.
         self._overlap_writer: Optional[BackgroundWriter] = None
         self._spool_seals = False
         #: long-run GC regime hook (install_flat_gc); stepped at every
@@ -930,6 +931,17 @@ class World:
         chain = self.blockchain
         if isinstance(chain, SpillingBlockchain):
             chain.flush()
+
+    def close_io(self) -> None:
+        """Stop the overlapped spill writer and detach it from the store.
+
+        Its worker thread and locks go with it, so a finished run's
+        result can be pickled; any later spill writes synchronously.
+        """
+        writer, self._overlap_writer = self._overlap_writer, None
+        if writer is not None:
+            writer.close()
+            self.blockchain.store.attach_writer(None)
 
     def result(self) -> SimulationResult:
         return SimulationResult(

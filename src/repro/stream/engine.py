@@ -25,10 +25,10 @@ Detection itself is *not* reimplemented: every appended block runs
 through the batch pipeline's own :class:`~repro.engine.runner.ChunkRunner`
 as a single-block chunk, and :meth:`StreamEngine.finalize` assembles the
 dataset with the batch pipeline's own merge/join/quality functions over
-per-height chunks.  Convergence with ``MevInspector.run(chunk_size=1)``
-over the final canonical chain is therefore structural: both paths
-execute the same code over the same blocks — the stream just found out
-about them the hard way.
+per-height chunks.  Convergence with
+``MevInspector.run(RunConfig(chunk_size=1))`` over the final canonical
+chain is therefore structural: both paths execute the same code over
+the same blocks — the stream just found out about them the hard way.
 """
 
 from __future__ import annotations
@@ -401,7 +401,8 @@ class StreamEngine:
         :func:`~repro.core.pipeline.apply_joins` and
         :func:`~repro.core.pipeline.finish_quality` — which is why a
         converged stream's dataset is bit-identical to
-        ``MevInspector.run(chunk_size=1)`` over the canonical chain.
+        ``MevInspector.run(RunConfig(chunk_size=1))`` over the canonical
+        chain.
         """
         head = self.follower.height
         if head is None:

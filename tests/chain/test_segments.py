@@ -151,6 +151,25 @@ class TestIntegrity:
                            match="fingerprint mismatch"):
             store.load_segment(0)
 
+    def test_swapped_transactions_fail_the_fingerprint(self, tmp_path):
+        store, blocks = filled_store(tmp_path)
+        # Same block numbers, miner, timestamps and tx counts — so the
+        # same block hashes — but other transactions: a world that had
+        # already minted some uids signs different transaction hashes.
+        other = WorldState()
+        for _ in range(100):
+            other.next_tx_uid()
+        impostors = build_blocks(12, state=other)[3:6]
+        assert [b.hash for b in impostors] == \
+            [b.hash for b in blocks[3:6]]
+        assert tx_hashes(impostors) != tx_hashes(blocks[3:6])
+        with open(os.path.join(store.root,
+                               store.segments[1].filename), "wb") as out:
+            pickle.dump(impostors, out)
+        with pytest.raises(SegmentIntegrityError,
+                           match="fingerprint mismatch"):
+            store.load_segment(1)
+
     def test_unknown_epoch(self, tmp_path):
         store, _ = filled_store(tmp_path)
         with pytest.raises(SegmentIntegrityError):

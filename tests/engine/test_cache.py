@@ -78,6 +78,19 @@ class TestArtifactStore:
         list(again.execute(runner, [(1, 10)]))
         assert again.invalid_entries == 1
 
+    def test_version_1_artifact_is_recomputed(self, tmp_path):
+        runner = CountingRunner()
+        executor = CachedExecutor(SerialExecutor(), tmp_path, "d1")
+        list(executor.execute(runner, [(1, 10)]))
+        path = tmp_path / "d1" / "1-10.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["cache_version"] = 1
+        path.write_text(json.dumps(document), encoding="utf-8")
+        again = CachedExecutor(SerialExecutor(), tmp_path, "d1")
+        list(again.execute(runner, [(1, 10)]))
+        assert again.invalid_entries == 1
+        assert runner.calls == 2
+
 
 class TestPipelineCaching:
     def test_cached_replay_is_bit_identical(self, sim_result, tmp_path,

@@ -1,22 +1,13 @@
-"""The unified ``DataSource`` protocol, its adapters, and ``shield``."""
-
-import pytest
+"""The frozen op-key format and the ``shield`` facades."""
 
 from repro.chain.events import SwapEvent
-from repro.reliability import (
-    ArchiveNodeSource,
-    DataSource,
-    FlashbotsApiSource,
-    MempoolObserverSource,
-    ReliableSource,
-    adapt,
-    render_key,
-    shield,
-)
+from repro.faults.plan import render_key
+from repro.reliability import shield
 
 
 class TestRenderKey:
-    """The rendered key seeds retry jitter: its format is frozen."""
+    """The rendered key seeds fault decisions and retry jitter: its
+    format is frozen."""
 
     def test_no_args(self):
         assert render_key(()) == "-"
@@ -35,56 +26,48 @@ class TestRenderKey:
 
 
 class TestAdapters:
+    """Each ``shield`` facade answers like the source it wraps."""
+
     def test_archive_adapter(self, sim_result):
-        source = ArchiveNodeSource(sim_result.node)
-        assert source.name == "archive"
-        assert isinstance(source, DataSource)
-        latest = source.fetch("latest_block_number")
-        assert latest == sim_result.node.latest_block_number()
-        assert source.coverage_gaps() == ()
+        node, _, _ = shield(sim_result.node)
+        assert node.latest_block_number() == \
+            sim_result.node.latest_block_number()
 
     def test_archive_adapter_materializes_iterators(self, sim_result):
-        source = ArchiveNodeSource(sim_result.node)
-        blocks = source.fetch("iter_blocks", (1, 5))
+        node, _, _ = shield(sim_result.node)
+        blocks = node.iter_blocks(1, 5)
         assert isinstance(blocks, list) and len(blocks) == 5
 
     def test_mempool_adapter_reports_downtime(self, sim_result):
-        source = MempoolObserverSource(sim_result.observer)
-        assert source.name == "mempool"
-        assert source.coverage_gaps() == \
+        _, observer, _ = shield(sim_result.node, sim_result.observer)
+        assert observer.downtime_ranges == \
             tuple(sim_result.observer.downtime_ranges)
 
     def test_flashbots_adapter(self, sim_result):
-        source = FlashbotsApiSource(sim_result.flashbots_api)
-        assert source.name == "flashbots"
-        count = source.fetch("block_count")
-        assert count == sim_result.flashbots_api.block_count()
-
-    def test_adapt_duck_types(self, sim_result):
-        assert adapt(sim_result.node).name == "archive"
-        assert adapt(sim_result.observer).name == "mempool"
-        assert adapt(sim_result.flashbots_api).name == "flashbots"
-
-    def test_adapt_rejects_unknown_surfaces(self):
-        with pytest.raises(TypeError, match="DataSource"):
-            adapt(object())
+        _, _, api = shield(sim_result.node,
+                           flashbots_api=sim_result.flashbots_api)
+        assert api.block_count() == sim_result.flashbots_api.block_count()
 
 
 class TestReliableSource:
+    """The armor every ``Reliable*`` facade puts around its source."""
+
     def test_fetch_counts_requests(self, sim_result):
-        source = ReliableSource(ArchiveNodeSource(sim_result.node))
-        source.fetch("get_block", (1,))
-        source.fetch("get_block", (2,))
-        assert source.caller.stats.requests == 2
-        assert isinstance(source, DataSource)
+        node, _, _ = shield(sim_result.node)
+        node.get_block(1)
+        node.get_block(2)
+        assert node.caller.stats.requests == 2
 
     def test_facades_share_one_composition(self, sim_result):
         node, observer, api = shield(sim_result.node,
                                      sim_result.observer,
                                      sim_result.flashbots_api)
-        for wrapper in (node, observer, api):
-            assert isinstance(wrapper.source, ReliableSource)
-            assert wrapper.caller is wrapper.source.caller
+        callers = [wrapper.caller for wrapper in (node, observer, api)]
+        assert [caller.source for caller in callers] == \
+            ["archive", "mempool", "flashbots"]
+        # one retry policy, one breaker per source
+        assert callers[0].retry is callers[1].retry is callers[2].retry
+        assert len({id(caller.breaker) for caller in callers}) == 3
 
     def test_facade_results_match_bare_source(self, sim_result):
         node, _, _ = shield(sim_result.node)

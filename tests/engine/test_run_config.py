@@ -7,8 +7,7 @@ import pytest
 from repro import run_inspector
 from repro.core.pipeline import MevInspector
 from repro.core.profit import PriceService
-from repro.engine import (RunConfig, config_from_kwargs,
-                          ensure_unmixed, resolve_config)
+from repro.engine import RunConfig, ensure_unmixed, resolve_config
 
 from tests.engine.conftest import fingerprint
 
@@ -31,10 +30,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="cache_key"):
             RunConfig(cache_dir="/tmp/cache")
 
-    def test_config_from_kwargs(self):
-        config = config_from_kwargs(chunk_size=10, workers=2)
-        assert config == RunConfig(chunk_size=10, workers=2)
-
     def test_confirm_depth_validated(self):
         assert RunConfig(confirm_depth=0).confirm_depth == 0
         with pytest.raises(ValueError, match="confirm_depth"):
@@ -46,36 +41,15 @@ class TestResolveConfig:
         config = RunConfig(chunk_size=10)
         assert resolve_config(config) is config
 
-    def test_loose_kwargs_warn_and_resolve(self):
-        with pytest.warns(DeprecationWarning, match="chunk_size"):
-            config = resolve_config(None, chunk_size=10, workers=2)
-        assert config == RunConfig(chunk_size=10, workers=2)
-
     def test_default_loose_values_do_not_warn(self, recwarn):
         config = resolve_config(None, chunk_size=None, workers=1)
         assert config == RunConfig()
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_internal_callers_can_silence_the_warning(self, recwarn):
-        config = resolve_config(None, warn=False, chunk_size=10)
-        assert config == RunConfig(chunk_size=10)
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
     def test_mixing_still_raises(self):
         with pytest.raises(ValueError, match="RunConfig"):
             resolve_config(RunConfig(), chunk_size=10)
-
-    def test_inspector_loose_kwargs_are_deprecated(self, sim_result):
-        inspector = MevInspector(sim_result.node,
-                                 PriceService(sim_result.oracle),
-                                 sim_result.flashbots_api,
-                                 sim_result.observer)
-        with pytest.warns(DeprecationWarning, match="chunk_size"):
-            loose = inspector.run(chunk_size=50)
-        quiet = inspector.run(config=RunConfig(chunk_size=50))
-        assert fingerprint(loose) == fingerprint(quiet)
 
 
 class TestMixing:
@@ -91,14 +65,14 @@ class TestMixing:
         ensure_unmixed(None, chunk_size=10, workers=4)
 
     def test_run_rejects_mixed_call(self, sim_result):
-        from repro.reliability import shield
-        node, observer, api = shield(sim_result.node,
-                                     sim_result.observer,
-                                     sim_result.flashbots_api)
-        inspector = MevInspector(node, PriceService(sim_result.oracle),
-                                 api, observer)
         with pytest.raises(ValueError, match="RunConfig"):
-            inspector.run(chunk_size=10, config=RunConfig())
+            run_inspector(sim_result, chunk_size=10, config=RunConfig())
+
+    def test_inspector_run_takes_only_a_config(self, sim_result):
+        inspector = MevInspector(sim_result.node,
+                                 PriceService(sim_result.oracle))
+        with pytest.raises(TypeError):
+            inspector.run(chunk_size=10)
 
 
 class TestEquivalence:

@@ -125,6 +125,14 @@ class TestStaleness:
             store.load()
         assert "version" in str(excinfo.value)
 
+    def test_version_1_checkpoint_rejected(self, store):
+        """Version-1 chunk ledgers counted two discarded block fetches
+        per chunk; resuming from one would mix two request counts."""
+        store.path.write_text(json.dumps({"version": 1, "chunks": {}}),
+                              encoding="utf-8")
+        with pytest.raises(CheckpointError, match="version 1"):
+            store.load()
+
     def test_missing_version_rejected(self, store):
         store.path.write_text(json.dumps({"chunks": {}}),
                               encoding="utf-8")

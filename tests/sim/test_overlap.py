@@ -172,3 +172,17 @@ class TestOverlapIdentity:
             for epoch, seal in sync_seals.items():
                 loaded = store.load_sidecar(f"seal-{epoch:06d}.pkl")
                 assert loaded.fingerprint == seal.fingerprint
+
+
+class TestSpilledStudyReleasesWriter:
+    def test_result_pickles_and_thread_is_gone(self, tmp_path):
+        import pickle
+
+        from repro import quick_study
+
+        before = threading.active_count()
+        study = quick_study(blocks_per_month=6, seed=3,
+                            segment_dir=tmp_path / "segs")
+        assert threading.active_count() == before
+        restored = pickle.loads(pickle.dumps(study))
+        assert restored.dataset.to_rows() == study.dataset.to_rows()

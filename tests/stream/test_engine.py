@@ -3,7 +3,8 @@
 The engine's standing contract (ISSUE acceptance): streaming over a
 faulted feed — reorgs up to depth 3, duplicates, out-of-order delivery,
 an outage window — produces rows and a quality ledger *bit-identical*
-to ``MevInspector.run(chunk_size=1)`` over the final canonical chain.
+to ``MevInspector.run(RunConfig(chunk_size=1))`` over the final
+canonical chain.
 """
 
 import pytest
